@@ -12,20 +12,21 @@ Initial columns (discrete deltas) are low-passed by a raised-cosine filter
 that is flat across the physically occupied band; at T = 0 no evolution
 happens and the kernel is the exact discrete delta.
 
-Two independent constructions are provided and cross-checked by the tests:
-Crank-Nicolson (Cayley) stepping of the Hamiltonian, and a Trotter product of
-short-time kernels exp(i tau L_mid) in their band-exact (periodized) form.
+Two independent one-slice steps are provided and cross-checked by the tests:
+the Crank-Nicolson (Cayley) step of the Hamiltonian, and the short-time
+kernel exp(i tau L_mid) in its band-exact (periodized) form.  Either step is
+raised to the power ``slices`` once, by repeated squaring, and the power is
+applied to the filtered deltas and to the norm watchdog's probe.
 """
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import circulant
 
 from .classical import TimeGrid, solve_classical
 from .errors import DimensionMismatch, Instability, NonNaturalLagrangian
-from .quantize import Grid, derivative_matrix, op_K
+from .quantize import Grid, axis_kron, derivative_matrix, op_K
 
 __all__ = [
     "KernelMatrix",
@@ -148,13 +149,6 @@ def _circulant_from_symbol(sym):
     return circulant(np.fft.ifft(sym))
 
 
-def _axis_kron(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 def _band_filter_symbol(grid, k, flat=FILTER_FLAT, zero=FILTER_ZERO):
     kn = np.pi / grid.spacings[k]
     ak = np.abs(_wavenumbers(grid, k))
@@ -164,8 +158,8 @@ def _band_filter_symbol(grid, k, flat=FILTER_FLAT, zero=FILTER_ZERO):
 
 
 def _filter_matrix(grid):
-    return _axis_kron([_circulant_from_symbol(_band_filter_symbol(grid, k))
-                       for k in range(grid.dim)])
+    return axis_kron([_circulant_from_symbol(_band_filter_symbol(grid, k))
+                      for k in range(grid.dim)])
 
 
 def _inverse_mass(spec, grid):
@@ -186,46 +180,47 @@ def _potential_on_points(spec, pts):
     return np.asarray(spec.potential_value(pts), dtype=float)
 
 
-CHUNK_COLUMNS = 128
-
-
-def _propagate(step, K0, slices, threads):
-    """Apply ``step`` ``slices`` times to the columns of K0.
-
-    Columns are processed in fixed-width chunks so the arithmetic (and hence
-    the result, bit for bit) does not depend on the worker count; threads
-    only distribute the chunks.
-    """
-    ncol = K0.shape[1]
-    edges = list(range(0, ncol, CHUNK_COLUMNS)) + [ncol]
-    spans = [(a, b) for a, b in zip(edges[:-1], edges[1:])]
-
-    def run(span):
-        a, b = span
-        block = K0[:, a:b]
-        for _ in range(slices):
-            block = step @ block
-        return block
-
-    if threads is None or threads <= 1 or len(spans) == 1:
-        blocks = [run(span) for span in spans]
+def _slice_step(spec, grid, method, tau):
+    """One-slice step matrix of length ``tau`` for either construction."""
+    inv_mass = _inverse_mass(spec, grid)
+    pts = grid.points()
+    if method == "trotter":
+        if inv_mass is None:
+            raise NonNaturalLagrangian(
+                "trotter kernels need a constant metric (position-independent mass)")
+        free = axis_kron([
+            _circulant_from_symbol(np.exp(-0.5j * tau * inv_mass[k]
+                                          * _wavenumbers(grid, k) ** 2))
+            for k in range(grid.dim)])
+        mids = 0.5 * (pts[:, None, :] + pts[None, :, :])  # (size, size, n)
+        vmid = _potential_on_points(spec, np.moveaxis(mids, -1, 0))
+        return free * np.exp(-1j * tau * vmid)
+    if inv_mass is not None:
+        kin = sum(
+            axis_kron([
+                _circulant_from_symbol(0.5 * inv_mass[k] * _wavenumbers(grid, k) ** 2)
+                if j == k else np.eye(grid.sizes[j])
+                for j in range(grid.dim)])
+            for k in range(grid.dim))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run, spans))
-    out = np.empty_like(K0)
-    for (a, b), block in zip(spans, blocks):
-        out[:, a:b] = block
-    return out
+        from .geometry import MetricField
+        gfield = MetricField(lambda x: spec.metric_matrix(x), spec.dim)
+        kin = 0.5 * op_K(gfield, grid).matrix
+    H = kin + np.diag(_potential_on_points(spec, pts.T))
+    A = np.eye(grid.size) + 0.5j * tau * H
+    B = np.eye(grid.size) - 0.5j * tau * H
+    return np.linalg.solve(A, B)
 
 
-def phys_state(spec, T, grid, method="cranknicolson", slices=512, threads=None,
-               gamma=0.0):
+def phys_state(spec, T, grid, method="cranknicolson", slices=512, gamma=0.0):
     """Propagator kernel K(x_f, x_i; T) of a natural Lagrangian system.
 
-    method "cranknicolson": Cayley time stepping of H = op_K/2 + V, with the
-    kinetic term in its band-exact form when the metric is constant.
-    method "trotter": product of short-time kernels exp(i tau L_mid) with the
-    free-kernel normalization, applied in periodized (band-exact) form.
+    method "cranknicolson": Cayley step of H = op_K/2 + V, with the kinetic
+    term in its band-exact form when the metric is constant.
+    method "trotter": short-time kernel exp(i tau L_mid) with the free-kernel
+    normalization, in periodized (band-exact) form.
+    Either one-slice step is raised to the power ``slices`` by repeated
+    squaring and applied to the filtered deltas.
     T = 0 returns the exact discrete delta.
     """
     if not spec.is_natural:
@@ -234,6 +229,8 @@ def phys_state(spec, T, grid, method="cranknicolson", slices=512, threads=None,
     _require_ring(grid)
     if method not in ("cranknicolson", "trotter"):
         raise ValueError(f"unknown method {method!r}")
+    if slices < 1:
+        raise ValueError(f"need at least one time slice, got {slices}")
     vol = grid.cell_volume
     size = grid.size
     if T == 0:
@@ -241,56 +238,23 @@ def phys_state(spec, T, grid, method="cranknicolson", slices=512, threads=None,
     if T < 0:
         raise ValueError("propagation time must be non-negative")
 
-    tau = T / slices
-    inv_mass = _inverse_mass(spec, grid)
-    pts = grid.points()
+    P = np.linalg.matrix_power(_slice_step(spec, grid, method, T / slices), slices)
     Phi = _filter_matrix(grid)
-
-    if method == "trotter":
-        if inv_mass is None:
-            raise NonNaturalLagrangian(
-                "trotter kernels need a constant metric (position-independent mass)")
-        free = _axis_kron([
-            _circulant_from_symbol(np.exp(-0.5j * tau * inv_mass[k]
-                                          * _wavenumbers(grid, k) ** 2))
-            for k in range(grid.dim)])
-        mids = 0.5 * (pts[:, None, :] + pts[None, :, :])  # (size, size, n)
-        vmid = _potential_on_points(spec, np.moveaxis(mids, -1, 0))
-        step = free * np.exp(-1j * tau * vmid)
-    else:
-        if inv_mass is not None:
-            kin = sum(
-                _axis_kron([
-                    _circulant_from_symbol(0.5 * inv_mass[k] * _wavenumbers(grid, k) ** 2)
-                    if j == k else np.eye(grid.sizes[j])
-                    for j in range(grid.dim)])
-                for k in range(grid.dim))
-        else:
-            from .geometry import MetricField
-            gfield = MetricField(lambda x: spec.metric_matrix(x), spec.dim)
-            kin = 0.5 * op_K(gfield, grid).matrix
-        H = kin + np.diag(_potential_on_points(spec, pts.T))
-        A = np.eye(size) + 0.5j * tau * H
-        B = np.eye(size) - 0.5j * tau * H
-        step = np.linalg.solve(A, B)
-
-    K0 = Phi.astype(complex)
-    K = _propagate(step, K0, slices, threads) / vol
+    K = P @ Phi / vol
     if not np.all(np.isfinite(K)):
         raise Instability("propagator kernel has non-finite entries")
 
     # stability watchdog: a band-limited probe supported in the declared
     # domain must keep its norm (kernel column norms also count ring-seam
     # junk with no bearing on the windowed kernel, so they are not used)
+    pts = grid.points()
     probe = np.ones(size)
     for k in range(grid.dim):
         lo, hi, _ = spec.domain[k]
         centre, width = 0.5 * (lo + hi), (hi - lo) / 6.0
         probe = probe * np.exp(-((pts[:, k] - centre) / width) ** 2)
     probe = Phi @ probe
-    ref = np.linalg.norm(probe)
-    out = _propagate(step, probe[:, None], slices, 1)
-    drift = abs(np.linalg.norm(out) / ref - 1.0)
+    drift = abs(np.linalg.norm(P @ probe) / np.linalg.norm(probe) - 1.0)
     if not np.isfinite(drift) or drift > DRIFT_LIMIT:
         raise Instability(f"norm drift {drift:.2%} exceeds {DRIFT_LIMIT:.0%}")
     return KernelMatrix(K, grid, float(T), gamma)
@@ -343,7 +307,7 @@ class SemiclassicalReport:
 
 
 def make_action_evaluator(spec, T, N=400):
-    """Classical (S, p_f, p_i) at scalar boundary pairs, with solver caching."""
+    """Classical (S, p_f, p_i) at scalar boundary pairs, one Newton solve each."""
     grid = TimeGrid(0.0, T, N)
 
     def evaluate(xf, xi):

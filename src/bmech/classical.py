@@ -299,13 +299,12 @@ def solve_classical(spec, x_f, x_i, grid, init=None):
     tol = RESIDUAL_TOL * n * grid.N
     res_norm = np.inf
     for iteration in range(MAX_NEWTON_ITER):
-        grad_int, _, blocks = action_gradient_hessian(spec, h, grid)
+        grad_int, (p_f, p_i), blocks = action_gradient_hessian(spec, h, grid)
         res_norm = float(np.linalg.norm(grad_int))
         if res_norm <= tol:
             # converged: now veto caustics before reporting success
             _factor_interior(blocks, grid, check_caustic=True)
             action = discrete_action(spec, h, grid)
-            _, (p_f, p_i), _ = action_gradient_hessian(spec, h, grid)
             return ClassicalSolution(history=h, action=action, p_f=p_f, p_i=p_i,
                                      converged=True, residual_norm=res_norm,
                                      grid=grid, spec=spec, iterations=iteration)
@@ -354,12 +353,15 @@ def classical_action_derivs(spec, x_f, x_i, grid, init=None):
 
 def hessian_boundary_blocks(spec, sol):
     """Schur complement of the interior nodes: d^2 S / d(boundary)^2."""
-    n = spec.dim
-    grid = sol.grid
-    _, _, blocks = action_gradient_hessian(spec, sol.history, grid)
-    D00, D01, D11 = blocks["D00"], blocks["D01"], blocks["D11"]
-    factor = _factor_interior(blocks, grid, check_caustic=True)
-    K = grid.N - 1
+    _, _, blocks = action_gradient_hessian(spec, sol.history, sol.grid)
+    factor = _factor_interior(blocks, sol.grid, check_caustic=True)
+    return _schur_boundary(blocks["D00"], blocks["D01"], blocks["D11"], factor)
+
+
+def _schur_boundary(D00, D01, D11, factor):
+    """Boundary Hessian blocks from the interval blocks and the interior factor."""
+    n = D00.shape[1]
+    K = D00.shape[0] - 1
 
     # rhs columns coupling interior to node 0 and node N
     cols = np.zeros((K, n, 2 * n))
@@ -486,7 +488,7 @@ class JacobiSolver:
 def jacobi_and_greens(spec, sol):
     """Boundary Green functions of a converged solution plus a Jacobi solver."""
     solver = JacobiSolver(spec, sol)
-    blocks = hessian_boundary_blocks(spec, sol)
+    blocks = _schur_boundary(solver.D00, solver.D01, solver.D11, solver._interior)
     Hff, Hfi, Hii = blocks["Hff"], blocks["Hfi"], blocks["Hii"]
     n = spec.dim
     try:

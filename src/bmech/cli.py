@@ -300,7 +300,7 @@ def cmd_propagator(args):
     method = {"cn": "cranknicolson", "trotter": "trotter"}[args.method]
     grid = bqm.kernel_grid(spec, args.T, args.grid)
     phys = bqm.phys_state(spec, args.T, grid, method=method,
-                          slices=args.slices, threads=args.threads)
+                          slices=args.slices)
     x = grid.axis_points(0)
     result = {
         "T": args.T,
@@ -324,7 +324,7 @@ def cmd_semiclassical(args):
     method = {"cn": "cranknicolson", "trotter": "trotter"}[args.method]
     grid = bqm.kernel_grid(spec, args.T, args.grid)
     phys = bqm.phys_state(spec, args.T, grid, method=method,
-                          slices=args.slices, threads=args.threads)
+                          slices=args.slices)
     if args.window:
         lo, hi = _floats(args.window)
     else:
@@ -373,8 +373,8 @@ def _add_common(sub, spec_required=True):
     if spec_required:
         sub.add_argument("--spec", required=True, help="system JSON file")
     sub.add_argument("--out", default=None, help="report path (default stdout)")
-    sub.add_argument("--threads", type=int, default=os.cpu_count(),
-                     help="worker count (results are independent of it)")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="accepted for old command lines and ignored")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for randomized property sweeps")
 
@@ -456,7 +456,10 @@ def main(argv=None):
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="bmech %(levelname)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors exit 1; --help and --version exit 0
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except NUMERICAL_ERRORS as exc:

@@ -213,13 +213,18 @@ def _d2_axis(m, h, periodic):
     return D / h**2
 
 
-def _axis_operator(grid, k, local):
-    mats = [np.eye(m) for m in grid.sizes]
-    mats[k] = local
+def axis_kron(mats):
+    """Kronecker product of per-axis matrices over the flattened grid."""
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
     return out
+
+
+def _axis_operator(grid, k, local):
+    mats = [np.eye(m) for m in grid.sizes]
+    mats[k] = local
+    return axis_kron(mats)
 
 
 def derivative_matrix(grid, k):
@@ -311,10 +316,7 @@ def shift_operator(a, eps, grid, gamma=0.0):
                 for k, s in enumerate(steps):
                     m = grid.sizes[k]
                     mats.append(np.roll(np.eye(m), int(round(s)) % m, axis=0))
-                out = mats[0]
-                for mat in mats[1:]:
-                    out = np.kron(out, mat)
-                return GridOperator(out.astype(complex), grid,
+                return GridOperator(axis_kron(mats).astype(complex), grid,
                                     in_weight=w, out_weight=w)
     gen = op_G(a, grid, gamma)
     return GridOperator(expm(-1j * eps * gen.matrix), grid,

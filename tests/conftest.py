@@ -4,6 +4,12 @@ import pytest
 from bmech import sysdsl
 from bmech.cli import bundled_spec_path
 
+# V = 50 x^2: two Trotter slices over T = 1 on a 64-point kernel_grid ring
+# drift the watchdog probe's norm by 4.34 %, above the 1 % limit
+STEEP_OSCILLATOR = ('{"name":"steep","dim":1,"lagrangian":"0.5*v1^2 - 50*x1^2",'
+                    '"metric":[["1"]],"potential":"50*x1^2",'
+                    '"parameters":{},"domain":[{"min":-3,"max":3}]}')
+
 
 @pytest.fixture(scope="session")
 def free_spec():

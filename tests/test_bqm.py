@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bmech import sysdsl
+from bmech import bqm, sysdsl
 from bmech.bqm import (
     BoundaryState,
     amplitude,
@@ -11,9 +11,9 @@ from bmech.bqm import (
     phys_state,
     semiclassical_measure,
 )
-from bmech.errors import DimensionMismatch, NonNaturalLagrangian
+from bmech.errors import DimensionMismatch, Instability, NonNaturalLagrangian
 from bmech.quantize import Grid, op_F, op_G
-from conftest import free_kernel, mehler_kernel
+from conftest import STEEP_OSCILLATOR, free_kernel, mehler_kernel
 
 M_SMALL = 128
 SLICES_SMALL = 192
@@ -174,11 +174,32 @@ class TestPhysState:
         sv = np.linalg.svd(ph.K, compute_uv=False)
         assert sv[1] / sv[0] > 0.5
 
-    def test_thread_count_does_not_change_results(self, osc):
+    @pytest.mark.parametrize("method", ["cranknicolson", "trotter"])
+    @pytest.mark.parametrize("slices", [1, 37, 64, 512])
+    def test_power_matches_slice_by_slice_loop(self, osc, method, slices):
+        # reference: the one-slice step applied ``slices`` times to the
+        # filtered deltas, one matmul per slice
+        T = 0.25
+        grid = kernel_grid(osc, T, 64)
+        step = bqm._slice_step(osc, grid, method, T / slices)
+        ref = bqm._filter_matrix(grid).astype(complex)
+        for _ in range(slices):
+            ref = step @ ref
+        ref /= grid.cell_volume
+        K = phys_state(osc, T, grid, method=method, slices=slices).K
+        assert np.linalg.norm(K - ref) / np.linalg.norm(ref) <= 1e-12
+
+    @pytest.mark.parametrize("slices", [0, -4])
+    def test_rejects_slices_below_one(self, osc, slices):
         grid = kernel_grid(osc, 0.5, 64)
-        a = phys_state(osc, 0.5, grid, method="trotter", slices=64, threads=1)
-        b = phys_state(osc, 0.5, grid, method="trotter", slices=64, threads=3)
-        assert np.max(np.abs(a.K - b.K)) == 0.0
+        with pytest.raises(ValueError):
+            phys_state(osc, 0.5, grid, slices=slices)
+
+    def test_norm_watchdog_raises_instability(self):
+        steep = sysdsl.parse(STEEP_OSCILLATOR)
+        grid = kernel_grid(steep, 1.0, 64)
+        with pytest.raises(Instability):
+            phys_state(steep, 1.0, grid, method="trotter", slices=2)
 
     def test_unitarity_on_filtered_band(self, osc):
         # K^dagger K approaches the scaled identity on the passband: column

@@ -6,6 +6,7 @@ import pytest
 
 from bmech import __version__
 from bmech.cli import bundled_spec_path, main
+from conftest import STEEP_OSCILLATOR
 
 FREE = bundled_spec_path("free_particle")
 OSC = bundled_spec_path("harmonic_oscillator")
@@ -147,6 +148,43 @@ class TestPropagator:
         assert code == 0
         assert report["result"]["method"] == "cranknicolson"
 
+    @pytest.mark.parametrize("slices", ["0", "-4"])
+    def test_slices_below_one_is_usage_error(self, tmp_path, capsys, slices):
+        code, _, _ = run(tmp_path, "propagator", "--spec", OSC, "--T", "0.5",
+                         "--grid", "64", f"--slices={slices}")
+        assert code == 1
+        assert "ValueError" in capsys.readouterr().err
+
+    def test_norm_watchdog_exits_2(self, tmp_path, capsys):
+        steep = tmp_path / "steep.json"
+        steep.write_text(STEEP_OSCILLATOR)
+        code, report, _ = run(tmp_path, "propagator", "--spec", str(steep),
+                              "--T", "1", "--grid", "64",
+                              "--method", "trotter", "--slices", "2")
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Instability" in err[0]
+        assert report["result"]["error"]["type"] == "Instability"
+
+    def test_threads_flag_is_ignored(self, tmp_path, monkeypatch):
+        argv = ["propagator", "--spec", OSC, "--T", "0.5", "--grid", "64",
+                "--method", "trotter", "--slices", "64"]
+
+        def outputs(*extra):
+            _, report, out = run(tmp_path, *argv, *extra)
+            dumps = [out.with_suffix(s).read_bytes() for s in (".absK.csv", ".argK.csv")]
+            return out.read_bytes(), report, dumps
+
+        _, one, one_dumps = outputs("--threads", "1")
+        _, three, three_dumps = outputs("--threads", "3")
+        assert one["result"] == three["result"]
+        assert one_dumps == three_dumps
+        # the default must not echo the machine's core count
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        two_cores = outputs()
+        monkeypatch.setattr("os.cpu_count", lambda: 64)
+        assert outputs() == two_cores
+
     def test_non_natural_system_fails_usage(self, tmp_path):
         bad = tmp_path / "odd.json"
         bad.write_text(json.dumps({
@@ -174,6 +212,20 @@ class TestSemiclassical:
                        ".residual_dilation.csv"):
             assert (tmp_path / ("report" + suffix)).exists() or \
                 np.loadtxt(stem + suffix, delimiter=",") is not None
+
+
+class TestUsageErrors:
+    def test_argparse_error_exits_1(self, capsys):
+        # a comma list starting with a minus sign reads as an option
+        code = main(["semiclassical", "--spec", OSC, "--T", "0.785",
+                     "--window", "-2,2"])
+        assert code == 1
+        assert "--window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        assert main([flag]) == 0
+        assert capsys.readouterr().out
 
 
 class TestLogging:

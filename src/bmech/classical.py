@@ -8,14 +8,18 @@ The action is discretized with the midpoint rule,
 a variational integrator.  Its exact gradient with respect to the endpoint
 nodes *is* the discrete boundary momentum, so the generating-function
 identity p_f = +dS/dx_f, p_i = -dS/dx_i holds at the discrete level rather
-than only in the continuum limit.  The second variation is block-tridiagonal;
-caustics show up as (near-)singular interior blocks and are treated as
-errors.
+than only in the continuum limit.  The second variation is block-tridiagonal
+and each solution factors it once, by a banded LU that Newton, the caustic
+verdict, the boundary Schur complement and the Jacobi solver share.  A
+caustic (conjugate point) is declared when one mode's Gelfand-Yaglom ratio,
+an eigenvalue of J(T) J_free(T)^{-1}, falls below CAUSTIC_TOL in modulus;
+it is reported as SingularHessian.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import NoConvergence, SingularHessian
 
@@ -37,11 +41,12 @@ ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 RESIDUAL_TOL = 1e-10
 
-# Interior second variation with sigma_min/sigma_max below this is a caustic;
-# the cheap pivot-ratio gate (caustics sit near 1e-3, healthy runs near 0.5)
-# decides when the power-iteration estimate is worth running.
-SINGULAR_TOL = 1e-7
-PIVOT_GATE = 1e-2
+# A second variation with a Gelfand-Yaglom mode ratio below this in modulus
+# is a caustic.  The ratios are scale-free and grid-independent: on the
+# oscillator the one ratio tends to sin(T)/T, about 5e-4 at T = 3.14 and
+# O(tau^2) at the discrete conjugate point near T = pi.  Each mode is judged
+# alone, so the verdict does not depend on the number of degrees of freedom.
+CAUSTIC_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,9 @@ class ClassicalSolution:
     residual_norm: float
     grid: TimeGrid
     spec: object
+    # second variation at the solution: interval blocks and interior factor
+    blocks: dict = field(repr=False)
+    factor: "BandFactor" = field(repr=False)
     iterations: int = 0
 
 
@@ -132,7 +140,9 @@ def action_gradient_hessian(spec, h, grid):
     Returns (interior_gradient, (p_f, p_i), blocks) where blocks is the dict
     {"D00", "D01", "D11"} of per-interval contributions: interval j couples
     nodes j and j+1, and the full Hessian has diagonal D11[j-1] + D00[j] at
-    node j and off-diagonal D01[j] between nodes j and j+1.  The gradient at
+    node j and off-diagonal D01[j] between nodes j and j+1.  blocks["kin"]
+    is the kinetic part C/tau (C = d^2L/dv^2) that alone gives the blocks
+    (kin, -kin, kin) of the free comparison Hessian.  The gradient at
     the endpoints encodes the boundary momenta, dS/dh_0 = -p_i and
     dS/dh_N = +p_f.
     """
@@ -159,10 +169,11 @@ def action_gradient_hessian(spec, h, grid):
 
     p_i = -grad[0]
     p_f = grad[-1]
-    return grad[1:-1], (p_f, p_i), {"D00": D00, "D01": D01, "D11": D11}
+    return grad[1:-1], (p_f, p_i), {"D00": D00, "D01": D01, "D11": D11,
+                                    "kin": C / tau}
 
 
-def assemble_tridiag(blocks, grid):
+def assemble_tridiag(blocks):
     """Full (N+1)-node block tridiagonal (diag, upper) from interval blocks."""
     D00, D01, D11 = blocks["D00"], blocks["D01"], blocks["D11"]
     N, n = D00.shape[0], D00.shape[1]
@@ -172,104 +183,70 @@ def assemble_tridiag(blocks, grid):
     return diag, D01.copy()
 
 
-def interior_tridiag(blocks, grid):
-    """Interior-node block tridiagonal (nodes 1..N-1)."""
-    diag, off = assemble_tridiag(blocks, grid)
-    return diag[1:-1], off[1:-1]
-
-
 # ---------------------------------------------------------------------------
 # Block-tridiagonal linear algebra
 
-class TridiagFactor:
-    """Block LDL-style forward elimination of a symmetric block tridiagonal.
+class BandFactor:
+    """LU factorization of the interior-node (1..N-1) block tridiagonal built
+    from interval blocks {"D00", "D01", "D11"}, in LAPACK band storage.
 
-    ``off[k]`` is the block coupling rows k and k+1 (upper side); the lower
-    side is its transpose.  The elimination pivots track the Jacobi
-    determinant along the interval, so ``pivot_ratio`` (smallest pivot
-    singular value over the largest) is the natural conjugate-point
-    detector and comes for free with the factorization.
+    With n x n blocks the matrix has kl = ku = 2n - 1 bands; it is factored
+    once by ``dgbtrf`` (partial pivoting) and every ``solve`` is one
+    ``dgbtrs`` call.
     """
 
-    def __init__(self, diag, off):
+    def __init__(self, blocks):
+        diag, off = assemble_tridiag(blocks)
+        diag, off = diag[1:-1], off[1:-1]  # off couples interior rows k, k+1
         K, n = diag.shape[0], diag.shape[1]
-        self.K, self.n = K, n
-        self.off = off
-        self.pivots = np.empty_like(diag)
-        self.gains = np.empty((max(K - 1, 0), n, n))
-        self.pivots[0] = diag[0]
-        for k in range(1, K):
-            try:
-                gain = np.linalg.solve(self.pivots[k - 1], off[k - 1]).T
-            except np.linalg.LinAlgError as exc:
-                raise SingularHessian(f"zero pivot block at node {k}") from exc
-            if not np.all(np.isfinite(gain)):
-                raise SingularHessian(f"non-finite pivot at node {k}")
-            self.gains[k - 1] = gain
-            self.pivots[k] = diag[k] - gain @ off[k - 1]
-        if n == 1:
-            svals = np.abs(self.pivots[:, 0, 0])
-        else:
-            svals = np.linalg.svd(self.pivots, compute_uv=False).ravel()
-        top = float(np.max(svals))
-        self.pivot_ratio = float(np.min(svals) / top) if top > 0 else 0.0
+        w = 2 * n - 1
+        self.w = w
+        # band storage: entry (i, j) of the matrix sits at ab[2w + i - j, j]
+        ab = np.zeros((3 * w + 1, K * n))
+        a, b = np.indices((n, n))
+        node = n * np.arange(K)[:, None, None]
+        ab[2 * w + a - b, node + b] = diag
+        ab[2 * w - n + a - b, node[1:] + b] = off
+        ab[2 * w + n + a - b, node[:-1] + b] = np.swapaxes(off, 1, 2)
+        self.lu, self.piv, info = dgbtrf(ab, w, w, overwrite_ab=True)
+        if info > 0:
+            raise SingularHessian(
+                f"zero pivot in row {info} of the interior second variation")
 
     def solve(self, rhs):
-        """Solve for one right-hand side of shape (K, n) or (K, n, m)."""
-        K = self.K
-        y = np.array(rhs, dtype=float)
-        for k in range(1, K):
-            y[k] -= self.gains[k - 1] @ y[k - 1]
-        out = np.empty_like(y)
-        out[-1] = np.linalg.solve(self.pivots[-1], y[-1])
-        for k in range(K - 2, -1, -1):
-            out[k] = np.linalg.solve(self.pivots[k], y[k] - self.off[k] @ out[k + 1])
-        return out
-
-    def matvec(self, vec, diag):
-        out = np.einsum("kab,kb->ka", diag, vec)
-        out[:-1] += np.einsum("kab,kb->ka", self.off, vec[1:])
-        out[1:] += np.einsum("kba,kb->ka", self.off, vec[:-1])
-        return out
+        """Solve for a right-hand side of shape (K, n) or (K, n, m)."""
+        rhs = np.asarray(rhs, dtype=float)
+        flat = rhs.reshape(rhs.shape[0] * rhs.shape[1], -1)
+        x, _ = dgbtrs(self.lu, self.w, self.w, flat, self.piv)
+        return x.reshape(rhs.shape)
 
 
-def _extreme_singular_ratio(diag, off, factor, iters=40, seed=0):
-    """Estimate sigma_min / sigma_max of the symmetric block tridiagonal."""
-    K, n = diag.shape[0], diag.shape[1]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((K, n))
-    v /= np.linalg.norm(v)
-    hi = 0.0
-    for _ in range(iters):
-        v = factor.matvec(v, diag)
-        hi = np.linalg.norm(v)
-        if hi == 0.0:
-            return 0.0
-        v /= hi
-    w = rng.standard_normal((K, n))
-    w /= np.linalg.norm(w)
-    inv_norm = np.inf
-    for _ in range(iters):
-        w = factor.solve(w)
-        inv_norm = np.linalg.norm(w)
-        if not np.isfinite(inv_norm) or inv_norm == 0.0:
-            return 0.0
-        w /= inv_norm
-    return (1.0 / inv_norm) / hi
+def _veto_caustic(factor, blocks):
+    """Raise SingularHessian when the interior second variation is a caustic.
 
-
-def _factor_interior(blocks, grid, check_caustic):
-    diag, off = interior_tridiag(blocks, grid)
-    factor = TridiagFactor(diag, off)
-    if check_caustic and factor.pivot_ratio < PIVOT_GATE:
-        # confirm with an actual extreme-singular-value estimate before
-        # declaring a caustic: pivots can underestimate sigma_min
-        ratio = _extreme_singular_ratio(diag, off, factor)
-        if ratio < SINGULAR_TOL:
-            raise SingularHessian(
-                f"interior second variation nearly singular "
-                f"(sigma_min/sigma_max = {ratio:.2e}): conjugate point")
-    return factor
+    ``factor`` factors H, the interior second variation built from
+    ``blocks``; H_kin is the same tridiagonal built from the kinetic blocks
+    alone.  The mixed blocks d^2 S / dx_f dx_i of their Schur complements
+    tend to -J(T)^{-1} and -J_free(T)^{-1}, where J(T) takes the initial
+    momentum of a Jacobi field vanishing at t_i to its final value.  The
+    eigenvalues of J J_free^{-1} are the Gelfand-Yaglom ratios of the modes
+    (their product is det H / det H_kin in the continuum limit).  They do not
+    change under linear changes of coordinates, and a mode's ratio vanishes
+    at its conjugate point; the smallest in modulus decides.
+    """
+    kin = blocks["kin"]
+    n = kin.shape[1]
+    free = {"D00": kin, "D01": -kin, "D11": kin}
+    Hfi = _schur_boundary(blocks, factor)[n:, :n]
+    Hfi_free = _schur_boundary(free, BandFactor(free))[n:, :n]
+    inverse = np.linalg.solve(Hfi_free, Hfi)  # J_free J^{-1}
+    ratio = 0.0
+    if np.all(np.isfinite(inverse)):
+        ratio = 1.0 / np.max(np.abs(np.linalg.eigvals(inverse)))
+    if ratio < CAUSTIC_TOL:
+        raise SingularHessian(
+            f"interior second variation nearly singular (smallest "
+            f"Gelfand-Yaglom mode ratio {ratio:.2e}): conjugate point")
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +262,11 @@ def solve_classical(spec, x_f, x_i, grid, init=None):
     interior Euler-Lagrange residual, endpoints held fixed.
 
     Raises NoConvergence when the iteration stalls and SingularHessian when
-    the Dirichlet second variation degenerates (conjugate point / caustic).
+    the Dirichlet second variation degenerates (conjugate point / caustic);
+    the caustic verdict runs on the converged iterate and, before a stalled
+    iteration is reported, on the current one.  Each accepted line-search
+    trial becomes the next iterate with the gradient and blocks it was
+    evaluated with.
     """
     n = spec.dim
     x_f = np.asarray(x_f, dtype=float)
@@ -298,20 +279,21 @@ def solve_classical(spec, x_f, x_i, grid, init=None):
 
     tol = RESIDUAL_TOL * n * grid.N
     res_norm = np.inf
+    grad_int, (p_f, p_i), blocks = action_gradient_hessian(spec, h, grid)
     for iteration in range(MAX_NEWTON_ITER):
-        grad_int, (p_f, p_i), blocks = action_gradient_hessian(spec, h, grid)
         res_norm = float(np.linalg.norm(grad_int))
+        factor = BandFactor(blocks)
         if res_norm <= tol:
             # converged: now veto caustics before reporting success
-            _factor_interior(blocks, grid, check_caustic=True)
+            _veto_caustic(factor, blocks)
             action = discrete_action(spec, h, grid)
             return ClassicalSolution(history=h, action=action, p_f=p_f, p_i=p_i,
                                      converged=True, residual_norm=res_norm,
-                                     grid=grid, spec=spec, iterations=iteration)
-        factor = _factor_interior(blocks, grid, check_caustic=False)
+                                     grid=grid, spec=spec, blocks=blocks,
+                                     factor=factor, iterations=iteration)
         step = -factor.solve(grad_int)
         if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1e12:
-            _factor_interior(blocks, grid, check_caustic=True)
+            _veto_caustic(factor, blocks)
             raise NoConvergence(iteration, res_norm)
         # Armijo backtracking on the squared residual norm
         merit = 0.5 * res_norm**2
@@ -321,16 +303,19 @@ def solve_classical(spec, x_f, x_i, grid, init=None):
             trial = h.copy()
             trial[1:-1] += alpha * step
             try:
-                g_trial, _, _ = action_gradient_hessian(spec, trial, grid)
+                evaluated = action_gradient_hessian(spec, trial, grid)
             except Exception:
                 alpha *= BACKTRACK
                 continue
+            g_trial = evaluated[0]
             if 0.5 * float(np.sum(g_trial**2)) <= merit - ARMIJO_C * alpha * res_norm**2:
                 h = trial
+                grad_int, (p_f, p_i), blocks = evaluated
                 accepted = True
                 break
             alpha *= BACKTRACK
         if not accepted:
+            _veto_caustic(factor, blocks)
             raise NoConvergence(iteration + 1, res_norm)
     raise NoConvergence(MAX_NEWTON_ITER, res_norm)
 
@@ -353,13 +338,18 @@ def classical_action_derivs(spec, x_f, x_i, grid, init=None):
 
 def hessian_boundary_blocks(spec, sol):
     """Schur complement of the interior nodes: d^2 S / d(boundary)^2."""
-    _, _, blocks = action_gradient_hessian(spec, sol.history, sol.grid)
-    factor = _factor_interior(blocks, sol.grid, check_caustic=True)
-    return _schur_boundary(blocks["D00"], blocks["D01"], blocks["D11"], factor)
+    return _split_boundary(_schur_boundary(sol.blocks, sol.factor))
 
 
-def _schur_boundary(D00, D01, D11, factor):
-    """Boundary Hessian blocks from the interval blocks and the interior factor."""
+def _split_boundary(Hb):
+    n = Hb.shape[0] // 2
+    return {"Hff": Hb[n:, n:], "Hfi": Hb[n:, :n], "Hii": Hb[:n, :n]}
+
+
+def _schur_boundary(blocks, factor):
+    """Boundary Hessian, ordered (initial, final), from the interval blocks
+    and the interior factor."""
+    D00, D01, D11 = blocks["D00"], blocks["D01"], blocks["D11"]
     n = D00.shape[1]
     K = D00.shape[0] - 1
 
@@ -376,8 +366,7 @@ def _schur_boundary(D00, D01, D11, factor):
     SbIY = np.zeros((2 * n, 2 * n))
     SbIY[:n] = D01[0] @ Y[0]
     SbIY[n:] = np.swapaxes(D01[-1], 0, 1) @ Y[-1]
-    Hb = Sbb - SbIY  # ordered (node 0, node N) = (initial, final)
-    return {"Hff": Hb[n:, n:], "Hfi": Hb[n:, :n], "Hii": Hb[:n, :n]}
+    return Sbb - SbIY
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +378,8 @@ class JacobiSolver:
     Solves the discrete Jacobi equation with Dirichlet or Neumann boundary
     data, evaluates linearized momenta at any node, and projects arbitrary
     linearized histories onto the Jacobi subspace through their Cauchy data.
+    It reuses the solution's blocks and interior factor; ``Hb`` is the
+    boundary Hessian d^2 S / d(x_i, x_f)^2 (their Schur complement).
     """
 
     def __init__(self, spec, sol):
@@ -396,11 +387,10 @@ class JacobiSolver:
         self.sol = sol
         self.grid = sol.grid
         self.n = spec.dim
-        _, _, blocks = action_gradient_hessian(spec, sol.history, self.grid)
-        self.D00 = blocks["D00"]
-        self.D01 = blocks["D01"]
-        self.D11 = blocks["D11"]
-        self._interior = _factor_interior(blocks, self.grid, check_caustic=True)
+        self.D00 = sol.blocks["D00"]
+        self.D01 = sol.blocks["D01"]
+        self.D11 = sol.blocks["D11"]
+        self.Hb = _schur_boundary(sol.blocks, sol.factor)
 
     def solve_dirichlet(self, dx_f, dx_i):
         """Jacobi field with prescribed endpoint values."""
@@ -413,25 +403,30 @@ class JacobiSolver:
         field = np.empty((N + 1, n))
         field[0] = dx_i
         field[-1] = dx_f
-        field[1:-1] = self._interior.solve(rhs)
+        field[1:-1] = self.sol.factor.solve(rhs)
         return field
 
     def solve_neumann(self, dp_f, dp_i):
-        """Jacobi field with prescribed endpoint momenta."""
-        N, n = self.grid.N, self.n
-        diag, off = assemble_tridiag(
-            {"D00": self.D00, "D01": self.D01, "D11": self.D11}, self.grid)
-        factor = TridiagFactor(diag, off)
-        if factor.pivot_ratio < PIVOT_GATE:
-            ratio = _extreme_singular_ratio(diag, off, factor)
-            if ratio < SINGULAR_TOL:
-                raise SingularHessian(
-                    f"Neumann second variation nearly singular "
-                    f"(sigma_min/sigma_max = {ratio:.2e})")
-        rhs = np.zeros((N + 1, n))
-        rhs[0] = -np.asarray(dp_i, dtype=float)
-        rhs[-1] = np.asarray(dp_f, dtype=float)
-        return factor.solve(rhs)
+        """Jacobi field with prescribed endpoint momenta.
+
+        The endpoint values solve Hb (dx_i, dx_f) = (-dp_i, dp_f); the
+        interior follows as a Dirichlet field.  Raises SingularHessian when
+        Hb is singular to working precision (a focal point, or the
+        translation zero mode of a free system).
+        """
+        n = self.n
+        svals = np.linalg.svd(self.Hb, compute_uv=False)
+        # Hb comes through the interior factor, whose condition number grows
+        # like N^2, and carries relative rounding of about 1e-3 N^2 eps (the
+        # free particle's zero mode, T from 0.01 to 100, N from 2 to 4000)
+        if svals[-1] <= self.grid.N**2 * np.finfo(float).eps * svals[0]:
+            raise SingularHessian(
+                f"Neumann second variation nearly singular "
+                f"(sigma_min/sigma_max = {svals[-1] / svals[0]:.2e})")
+        rhs = np.concatenate([-np.asarray(dp_i, dtype=float),
+                              np.asarray(dp_f, dtype=float)])
+        dx = np.linalg.solve(self.Hb, rhs)
+        return self.solve_dirichlet(dx[n:], dx[:n])
 
     def momentum_at(self, field, k):
         """Linearized momentum of a linearized history at node k.
@@ -488,7 +483,7 @@ class JacobiSolver:
 def jacobi_and_greens(spec, sol):
     """Boundary Green functions of a converged solution plus a Jacobi solver."""
     solver = JacobiSolver(spec, sol)
-    blocks = _schur_boundary(solver.D00, solver.D01, solver.D11, solver._interior)
+    blocks = _split_boundary(solver.Hb)
     Hff, Hfi, Hii = blocks["Hff"], blocks["Hfi"], blocks["Hii"]
     n = spec.dim
     try:

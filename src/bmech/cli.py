@@ -379,8 +379,16 @@ def _add_common(sub, spec_required=True):
                      help="seed for randomized property sweeps")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors write one stderr line, like every
+    other failure; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"bmech: usage error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bmech",
         description="boundary phase space mechanics and boundary quantum mechanics")
     parser.add_argument("--version", action="version", version=__version__)

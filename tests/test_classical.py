@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+import bmech.classical as classical
+from bmech import sysdsl
 from bmech.classical import (
+    BandFactor,
     TimeGrid,
     action_gradient_hessian,
     assemble_tridiag,
@@ -17,6 +22,16 @@ from conftest import osc_action
 
 def line(xf, xi, grid):
     return straight_line_history(np.atleast_1d(xf), np.atleast_1d(xi), grid)
+
+
+def unit_mass_system(potential, dim):
+    """System of unit masses with the given potential in x1..x<dim>."""
+    kinetic = " + ".join(f"0.5*v{k}^2" for k in range(1, dim + 1))
+    return sysdsl.parse(json.dumps({
+        "name": "modes", "dim": dim,
+        "lagrangian": f"{kinetic} - ({potential})",
+        "metric": [["1" if a == b else "0" for b in range(dim)] for a in range(dim)],
+        "domain": [{"min": -3.0, "max": 3.0}] * dim}))
 
 
 class TestDiscreteAction:
@@ -75,7 +90,7 @@ class TestGradientHessian:
             return np.concatenate([[-p_i[0]], interior[:, 0], [p_f[0]]])
 
         _, _, blocks = action_gradient_hessian(osc_spec, h, grid)
-        diag, off = assemble_tridiag(blocks, grid)
+        diag, off = assemble_tridiag(blocks)
         dense = np.zeros((25, 25))
         for k in range(25):
             dense[k, k] = diag[k, 0, 0]
@@ -90,6 +105,34 @@ class TestGradientHessian:
             dn[k, 0] -= step
             fd[:, k] = (full_gradient(up) - full_gradient(dn)) / (2 * step)
         assert np.max(np.abs(fd - dense)) / np.max(np.abs(dense)) < 1e-6
+
+
+class TestBandFactor:
+    def test_matches_dense_solve(self, rng):
+        # random symmetric interval blocks, n = 2: every band of the storage
+        N, n = 13, 2
+        sym = lambda M: M + np.swapaxes(M, 1, 2)  # noqa: E731
+        blocks = {"D00": sym(rng.standard_normal((N, n, n))),
+                  "D01": rng.standard_normal((N, n, n)),
+                  "D11": sym(rng.standard_normal((N, n, n)))}
+        diag, off = assemble_tridiag(blocks)
+        K = N - 1
+        dense = np.zeros((K * n, K * n))
+        for k in range(K):
+            dense[k * n:(k + 1) * n, k * n:(k + 1) * n] = diag[k + 1]
+        for k in range(K - 1):
+            dense[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = off[k + 1]
+            dense[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = off[k + 1].T
+        factor = BandFactor(blocks)
+        rhs = rng.standard_normal((K, n, 3))
+        expect = np.linalg.solve(dense, rhs.reshape(K * n, 3)).reshape(K, n, 3)
+        assert np.max(np.abs(factor.solve(rhs) - expect)) < 1e-10
+        assert np.max(np.abs(factor.solve(rhs[:, :, 0]) - expect[:, :, 0])) < 1e-10
+
+    def test_exactly_singular_raises(self):
+        zero = np.zeros((6, 1, 1))
+        with pytest.raises(SingularHessian):
+            BandFactor({"D00": zero, "D01": zero, "D11": zero})
 
 
 class TestSolve:
@@ -119,6 +162,37 @@ class TestSolve:
         with pytest.raises(SingularHessian):
             solve_classical(osc_spec, np.array([1.0]), np.array([1.0]),
                             TimeGrid(0.0, np.pi, 200))
+
+    @pytest.mark.parametrize("N", [200, 1000, 4000])
+    def test_caustic_verdict_is_grid_independent(self, osc_spec, N):
+        # conjugate points of x'' = -x sit at T = k pi
+        x = np.array([1.0])
+        for T in (np.pi, 2 * np.pi):
+            with pytest.raises(SingularHessian):
+                solve_classical(osc_spec, x, x, TimeGrid(0.0, T, N))
+        # near but short of the first one, and past it (indefinite Hessian)
+        for T in (3.1, 3.14, 3.2):
+            assert solve_classical(osc_spec, x, x, TimeGrid(0.0, T, N)).converged
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_caustic_verdict_judges_each_mode(self, dim):
+        # isotropic unit oscillators: every mode at sin(T)/T, 6.9e-3 at
+        # T = 3.12 (the product over modes would be below CAUSTIC_TOL)
+        spec = unit_mass_system(
+            " + ".join(f"0.5*x{k}^2" for k in range(1, dim + 1)), dim)
+        x = np.full(dim, 0.5)
+        assert solve_classical(spec, x, x, TimeGrid(0.0, 3.12, 200)).converged
+        with pytest.raises(SingularHessian):
+            solve_classical(spec, x, x, TimeGrid(0.0, np.pi, 200))
+
+    def test_caustic_seen_beside_unstable_mode(self):
+        # x1 reaches its conjugate point at T = pi while the inverted x2
+        # grows by sinh(3 pi)/(3 pi) ~ 660: the product would hide the caustic
+        spec = unit_mass_system("0.5*x1^2 - 4.5*x2^2", 2)
+        x = np.array([1.0, 0.1])
+        with pytest.raises(SingularHessian):
+            solve_classical(spec, x, x, TimeGrid(0.0, np.pi, 200))
+        assert solve_classical(spec, x, x, TimeGrid(0.0, 3.0, 200)).converged
 
     def test_nonlinear_pendulum(self, pendulum_spec):
         sol = solve_classical(pendulum_spec, np.array([2.0]), np.array([0.3]),
@@ -255,6 +329,48 @@ class TestJacobiGreens:
         field = solver.solve_neumann(np.array([0.4]), np.array([-0.2]))
         assert solver.momentum_at(field, 150)[0] == pytest.approx(0.4, abs=1e-9)
         assert solver.momentum_at(field, 0)[0] == pytest.approx(-0.2, abs=1e-9)
+
+    @pytest.mark.parametrize("T", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("N", [2, 100, 4000])
+    def test_neumann_zero_mode_is_singular(self, free_spec, T, N):
+        # a free particle's translations cost no action: Hb is singular
+        sol = solve_classical(free_spec, np.array([1.0]), np.array([0.0]),
+                              TimeGrid(0.0, T, N))
+        _, solver = jacobi_and_greens(free_spec, sol)
+        with pytest.raises(SingularHessian):
+            solver.solve_neumann(np.array([0.4]), np.array([-0.2]))
+
+    @pytest.mark.parametrize("N", [2, 100, 4000])
+    def test_neumann_short_time_oscillator_solves(self, osc_spec, N):
+        # sigma_min/sigma_max of Hb is about T^2/4 = 2.5e-5: ill-conditioned
+        # but far from singular; the field must carry the momenta asked for
+        sol = solve_classical(osc_spec, np.array([0.5]), np.array([0.1]),
+                              TimeGrid(0.0, 0.01, N))
+        _, solver = jacobi_and_greens(osc_spec, sol)
+        field = solver.solve_neumann(np.array([0.4]), np.array([-0.2]))
+        assert solver.momentum_at(field, N)[0] == pytest.approx(0.4, rel=1e-6)
+        assert solver.momentum_at(field, 0)[0] == pytest.approx(-0.2, rel=1e-6)
+
+    def test_solution_factor_is_shared(self, pendulum_spec, monkeypatch):
+        counts = {"hessian": 0, "factor": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(classical, "action_gradient_hessian",
+                            counted("hessian", classical.action_gradient_hessian))
+        monkeypatch.setattr(classical, "dgbtrf", counted("factor", classical.dgbtrf))
+        sol = solve_classical(pendulum_spec, np.array([2.0]), np.array([0.3]),
+                              TimeGrid(0.0, 1.5, 150))
+        assert sol.iterations == 3
+        # one evaluation at the start, one per accepted Newton step
+        assert counts["hessian"] <= sol.iterations + 1
+        before = dict(counts)
+        jacobi_and_greens(pendulum_spec, sol)
+        assert counts == before
 
     def test_wronskian_constant_along_grid(self, osc_spec):
         sol = solve_classical(osc_spec, np.array([1.0]), np.array([1.0]),

@@ -220,7 +220,9 @@ class TestUsageErrors:
         code = main(["semiclassical", "--spec", OSC, "--T", "0.785",
                      "--window", "-2,2"])
         assert code == 1
-        assert "--window" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--window" in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):

@@ -17,6 +17,10 @@ the Crank-Nicolson (Cayley) step of the Hamiltonian, and the short-time
 kernel exp(i tau L_mid) in its band-exact (periodized) form.  Either step is
 raised to the power ``slices`` once, by repeated squaring, and the power is
 applied to the filtered deltas and to the norm watchdog's probe.
+
+The semiclassical diagnostics factor the kernel on a window as K = a e^{iS}.
+The classical action S and the boundary momenta come over whole arrays of
+boundary pairs from one batched two-point solve (``make_action_evaluator``).
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import circulant
 
-from .classical import TimeGrid, solve_classical
+from .classical import TimeGrid, solve_classical_batch
+from .classical import solve_classical  # noqa: F401  (re-exported: callers reach it through bqm)
 from .errors import DimensionMismatch, Instability, NonNaturalLagrangian
 from .quantize import Grid, axis_kron, derivative_matrix, op_K
 
@@ -307,13 +312,24 @@ class SemiclassicalReport:
 
 
 def make_action_evaluator(spec, T, N=400):
-    """Classical (S, p_f, p_i) at scalar boundary pairs, one Newton solve each."""
+    """Classical data of a scalar system over arrays of boundary pairs.
+
+    Returns ``evaluate(XF, XI) -> (S, PF, PI)``: the action and the boundary
+    momenta p_f, p_i of every pair (x_f, x_i), as arrays of the shape of XF
+    and XI, from one ``solve_classical_batch`` call on an N-interval grid
+    over [0, T].  If any pair fails, the first failed pair in row-major order
+    raises its error (NoConvergence, SingularHessian, DomainError).
+    """
     grid = TimeGrid(0.0, T, N)
 
-    def evaluate(xf, xi):
-        sol = solve_classical(spec, np.atleast_1d(float(xf)),
-                              np.atleast_1d(float(xi)), grid)
-        return sol.action, sol.p_f[0], sol.p_i[0]
+    def evaluate(XF, XI):
+        XF, XI = np.broadcast_arrays(np.asarray(XF, float), np.asarray(XI, float))
+        batch = solve_classical_batch(spec, XF.reshape(1, -1), XI.reshape(1, -1), grid)
+        for error in batch.errors:
+            if error is not None:
+                raise error
+        return (batch.action.reshape(XF.shape), batch.p_f.reshape(XF.shape),
+                batch.p_i.reshape(XF.shape))
 
     return evaluate
 
@@ -321,10 +337,11 @@ def make_action_evaluator(spec, T, N=400):
 def semiclassical_measure(phys, action_eval, fields=None, window=None):
     """Factor the kernel as K = a * exp(i S) and test the constraint equation.
 
-    ``action_eval(x_f, x_i) -> (S, p_f, p_i)`` supplies the classical data;
-    ``fields`` maps names to callables (x_f, x_i) -> (a_f, a_i).  For each
-    field the report carries || (i L_a + a.grad S) K || / ||K|| over the
-    window, with L_a the central-difference Lie derivative on weight-1/2
+    ``action_eval(XF, XI) -> (S, PF, PI)`` supplies the classical data over
+    the window's (x_f, x_i) arrays in one call, and its error, if any, is
+    raised; ``fields`` maps names to callables (XF, XI) -> (a_f, a_i).  For
+    each field the report carries || (i L_a + a.grad S) K || / ||K|| over
+    the window, with L_a the central-difference Lie derivative on weight-1/2
     densities of the product space.
     """
     grid = phys.grid
@@ -341,13 +358,9 @@ def semiclassical_measure(phys, action_eval, fields=None, window=None):
     if idx.size < 4:
         raise ValueError("window selects fewer than 4 grid points")
     xw = x[idx]
-
-    S = np.empty((idx.size, idx.size))
-    Pf = np.empty_like(S)
-    Pi = np.empty_like(S)
-    for a, xf in enumerate(xw):
-        for b, xi0 in enumerate(xw):
-            S[a, b], Pf[a, b], Pi[a, b] = action_eval(xf, xi0)
+    XF = xw[:, None] + 0.0 * xw[None, :]
+    XI = 0.0 * xw[:, None] + xw[None, :]
+    S, Pf, Pi = action_eval(XF, XI)
 
     Kw = phys.K[np.ix_(idx, idx)]
     measure = Kw * np.exp(-1j * S)
@@ -359,8 +372,6 @@ def semiclassical_measure(phys, action_eval, fields=None, window=None):
     dK_f = (D @ phys.K)[np.ix_(idx, idx)]
     dK_i = (phys.K @ D.T)[np.ix_(idx, idx)]
 
-    XF = xw[:, None] + 0.0 * xw[None, :]
-    XI = 0.0 * xw[:, None] + xw[None, :]
     knorm = np.linalg.norm(Kw)
     residuals = {}
     residual_fields = {}

@@ -14,6 +14,12 @@ verdict, the boundary Schur complement and the Jacobi solver share.  A
 caustic (conjugate point) is declared when one mode's Gelfand-Yaglom ratio,
 an eigenvalue of J(T) J_free(T)^{-1}, falls below CAUSTIC_TOL in modulus;
 it is reported as SingularHessian.
+
+One Newton loop serves a single boundary pair (``solve_classical``) and a
+batch of them (``solve_classical_batch``): the histories of a batch are
+stacked along a leading member axis, so one Lagrangian evaluation and one
+banded factorization per iteration cover every member, while each member
+keeps its own convergence test, line search, caustic verdict and error.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +37,8 @@ __all__ = [
     "discrete_action",
     "action_gradient_hessian",
     "solve_classical",
+    "solve_classical_batch",
+    "ClassicalBatch",
     "classical_action_derivs",
     "jacobi_and_greens",
 ]
@@ -40,6 +48,12 @@ MAX_NEWTON_ITER = 50
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 RESIDUAL_TOL = 1e-10
+EPS = np.finfo(float).eps
+
+# Node x member elements of one batched Newton chunk, about ten members at
+# N = 200: it bounds the working arrays (a 625-member batch in one piece
+# doubled the peak memory of a semiclassical call).
+CHUNK_ELEMENTS = 2048
 
 # A second variation with a Gelfand-Yaglom mode ratio below this in modulus
 # is a caustic.  The ratios are scale-free and grid-independent: on the
@@ -90,6 +104,22 @@ class ClassicalSolution:
 
 
 @dataclass
+class ClassicalBatch:
+    """Two-point solutions of a batch of boundary pairs, member axis last.
+
+    A failed member holds NaN, and in ``errors`` the exception that its own
+    ``solve_classical`` raises; a converged member holds None there.
+    """
+
+    history: np.ndarray  # (N+1, n, B)
+    action: np.ndarray   # (B,)
+    p_f: np.ndarray      # (n, B)
+    p_i: np.ndarray      # (n, B)
+    iterations: np.ndarray  # (B,)
+    errors: list
+
+
+@dataclass
 class BoundaryGreens:
     """Hessian blocks of the classical action and their Green-function inverses.
 
@@ -109,29 +139,29 @@ class BoundaryGreens:
 # ---------------------------------------------------------------------------
 # Midpoint-rule action and its derivatives
 
-def _as_history(h, grid, n):
+def _as_history(h, grid, n, stack=True):
+    """``h`` as one history (N+1, n) or, if ``stack``, also a stack (B, N+1, n)."""
     arr = np.asarray(h, dtype=float)
-    if arr.shape != (grid.N + 1, n):
+    if arr.shape[-2:] != (grid.N + 1, n) or arr.ndim not in ((2, 3) if stack else (2,)):
         raise ValueError(f"history shape {arr.shape}, expected {(grid.N + 1, n)}")
     return arr
 
 
-def _interval_derivs(spec, h, grid):
-    """Midpoint Lagrangian data per interval, batch axis last: shapes (.., N)."""
-    tau = grid.tau
-    mid = 0.5 * (h[:-1] + h[1:]).T  # (n, N)
-    vel = (h[1:] - h[:-1]).T / tau
-    return spec.lagrangian_derivs(mid, vel, grid.midpoints())
+def _interval_data(h, grid):
+    """Midpoints and velocities per interval, axes (n, ..., N)."""
+    front = (h.ndim - 1,) + tuple(range(h.ndim - 1))
+    mid = (0.5 * (h[..., :-1, :] + h[..., 1:, :])).transpose(front)
+    vel = (h[..., 1:, :] - h[..., :-1, :]).transpose(front) / grid.tau
+    return mid, vel
 
 
 def discrete_action(spec, h, grid):
-    """Midpoint-rule action of a discrete history."""
+    """Midpoint-rule action of a discrete history, or of each in a stack."""
     h = _as_history(h, grid, spec.dim)
-    tau = grid.tau
-    mid = 0.5 * (h[:-1] + h[1:]).T
-    vel = (h[1:] - h[:-1]).T / tau
+    mid, vel = _interval_data(h, grid)
     L = spec.lagrangian_value(mid, vel, grid.midpoints())
-    return float(tau * np.sum(L))
+    S = grid.tau * np.sum(L, axis=-1)
+    return float(S) if h.ndim == 2 else S
 
 
 def action_gradient_hessian(spec, h, grid):
@@ -144,42 +174,43 @@ def action_gradient_hessian(spec, h, grid):
     is the kinetic part C/tau (C = d^2L/dv^2) that alone gives the blocks
     (kin, -kin, kin) of the free comparison Hessian.  The gradient at
     the endpoints encodes the boundary momenta, dS/dh_0 = -p_i and
-    dS/dh_N = +p_f.
+    dS/dh_N = +p_f.  For a stack of histories (B, N+1, n) every output gains
+    the leading member axis, and one Lagrangian evaluation covers the stack.
     """
     n = spec.dim
     h = _as_history(h, grid, n)
     tau = grid.tau
-    _, Lx, Lv, A, B, C = _interval_derivs(spec, h, grid)
+    _, Lx, Lv, A, B, C = spec.lagrangian_derivs(*_interval_data(h, grid),
+                                                 grid.midpoints())
 
-    # gradient pieces per interval: (tau/2) Lx -+ Lv, axes (n, N) -> (N, n)
-    glo = (0.5 * tau * Lx - Lv).T
-    ghi = (0.5 * tau * Lx + Lv).T
-    grad = np.zeros((grid.N + 1, n))
-    grad[:-1] += glo
-    grad[1:] += ghi
+    # gradient pieces per interval: (tau/2) Lx -+ Lv, axes (n, ..., N) -> (..., N, n)
+    back = tuple(range(1, h.ndim)) + (0,)
+    grad = np.zeros(h.shape)
+    grad[..., :-1, :] += (0.5 * tau * Lx - Lv).transpose(back)
+    grad[..., 1:, :] += (0.5 * tau * Lx + Lv).transpose(back)
 
-    # per-interval Hessian blocks, axes (N, n, n)
-    A = np.moveaxis(A, -1, 0)
-    B = np.moveaxis(B, -1, 0)
-    C = np.moveaxis(C, -1, 0)
-    Bt = np.swapaxes(B, 1, 2)
+    # per-interval Hessian blocks, axes (n, n, ..., N) -> (..., N, n, n)
+    back = tuple(range(2, h.ndim + 1)) + (0, 1)
+    A, B, C = A.transpose(back), B.transpose(back), C.transpose(back)
+    Bt = np.swapaxes(B, -1, -2)
     D00 = 0.25 * tau * A - 0.5 * (B + Bt) + C / tau
     D01 = 0.25 * tau * A + 0.5 * (B - Bt) - C / tau
     D11 = 0.25 * tau * A + 0.5 * (B + Bt) + C / tau
 
-    p_i = -grad[0]
-    p_f = grad[-1]
-    return grad[1:-1], (p_f, p_i), {"D00": D00, "D01": D01, "D11": D11,
-                                    "kin": C / tau}
+    p_i = -grad[..., 0, :]
+    p_f = grad[..., -1, :]
+    return grad[..., 1:-1, :], (p_f, p_i), {"D00": D00, "D01": D01, "D11": D11,
+                                            "kin": C / tau}
 
 
 def assemble_tridiag(blocks):
-    """Full (N+1)-node block tridiagonal (diag, upper) from interval blocks."""
+    """Full (N+1)-node block tridiagonal (diag, upper) from interval blocks,
+    with any leading member axis of the blocks kept."""
     D00, D01, D11 = blocks["D00"], blocks["D01"], blocks["D11"]
-    N, n = D00.shape[0], D00.shape[1]
-    diag = np.zeros((N + 1, n, n))
-    diag[:-1] += D00
-    diag[1:] += D11
+    N, n = D00.shape[-3], D00.shape[-1]
+    diag = np.zeros(D00.shape[:-3] + (N + 1, n, n))
+    diag[..., :-1, :, :] += D00
+    diag[..., 1:, :, :] += D11
     return diag, D01.copy()
 
 
@@ -193,68 +224,126 @@ class BandFactor:
     With n x n blocks the matrix has kl = ku = 2n - 1 bands; it is factored
     once by ``dgbtrf`` (partial pivoting) and every ``solve`` is one
     ``dgbtrs`` call.
+
+    Blocks with a leading member axis (B, N, n, n) put the members' matrices
+    one after another on the diagonal, with no coupling between them.  The
+    elimination never crosses a zero coupling, so each member gets exactly
+    its own factor, and a right-hand side is solved for every member at once.
+    ``errors[b]`` is the SingularHessian of member b (a zero pivot or
+    non-finite blocks) or None, and ``singular[b]`` says which; such a
+    member's solution is meaningless but finite, so it cannot spoil the
+    others.  Blocks without a member axis raise that error instead.
     """
 
     def __init__(self, blocks):
         diag, off = assemble_tridiag(blocks)
-        diag, off = diag[1:-1], off[1:-1]  # off couples interior rows k, k+1
-        K, n = diag.shape[0], diag.shape[1]
+        stacked = diag.ndim == 4
+        if not stacked:
+            diag, off = diag[None], off[None]
+        diag, off = diag[:, 1:-1], off[:, 1:-1]  # off couples interior rows k, k+1
+        B, K, n = diag.shape[:3]
         w = 2 * n - 1
         self.w = w
-        # band storage: entry (i, j) of the matrix sits at ab[2w + i - j, j]
-        ab = np.zeros((3 * w + 1, K * n))
+        # band storage: entry (i, j) of the matrix sits at ab[2w + i - j, j];
+        # nothing is stored between one member's last row and the next's first
+        ab = np.zeros((3 * w + 1, B * K * n))
         a, b = np.indices((n, n))
-        node = n * np.arange(K)[:, None, None]
+        node = n * np.arange(B * K).reshape(B, K, 1, 1)
         ab[2 * w + a - b, node + b] = diag
-        ab[2 * w - n + a - b, node[1:] + b] = off
-        ab[2 * w + n + a - b, node[:-1] + b] = np.swapaxes(off, 1, 2)
+        ab[2 * w - n + a - b, node[:, 1:] + b] = off
+        ab[2 * w + n + a - b, node[:, :-1] + b] = np.swapaxes(off, -1, -2)
+        self.errors = [None] * B
+        self.singular = np.zeros(B, dtype=bool)
+        if not np.isfinite(ab).all():
+            # a member's columns hold only its own entries: make it identity
+            members = ab.reshape(3 * w + 1, B, K * n)
+            self.singular = ~np.isfinite(members).all(axis=(0, 2))
+            members[:, self.singular] = 0.0
+            members[2 * w, self.singular] = 1.0
+            for m in np.flatnonzero(self.singular):
+                self.errors[m] = SingularHessian(
+                    "interior second variation has non-finite entries")
         self.lu, self.piv, info = dgbtrf(ab, w, w, overwrite_ab=True)
         if info > 0:
-            raise SingularHessian(
-                f"zero pivot in row {info} of the interior second variation")
+            pivots = self.lu[2 * w]  # diagonal of U
+            zero = pivots == 0.0
+            pivots[zero] = 1.0  # keeps every other member's solution finite
+            zero = zero.reshape(B, K * n)
+            for m in np.flatnonzero(zero.any(axis=1)):
+                self.singular[m] = True
+                self.errors[m] = SingularHessian(
+                    f"zero pivot in row {np.argmax(zero[m]) + 1} of the "
+                    f"interior second variation")
+        if not stacked and self.errors[0] is not None:
+            raise self.errors[0]
 
     def solve(self, rhs):
-        """Solve for a right-hand side of shape (K, n) or (K, n, m)."""
+        """Solve for a right-hand side holding the unknowns in order, shaped
+        (K, n) or (B, K, n), with an optional trailing axis of m columns.
+
+        A member whose right-hand side is not finite gets NaN; it is solved
+        with zeros, since elimination would carry its entries into the
+        neighbouring members (0 * inf is NaN).
+        """
         rhs = np.asarray(rhs, dtype=float)
-        flat = rhs.reshape(rhs.shape[0] * rhs.shape[1], -1)
-        x, _ = dgbtrs(self.lu, self.w, self.w, flat, self.piv)
+        if np.isfinite(rhs).all():
+            x, _ = dgbtrs(self.lu, self.w, self.w,
+                          rhs.reshape(self.lu.shape[1], -1), self.piv)
+            return x.reshape(rhs.shape)
+        members = rhs.reshape(len(self.errors), -1)
+        spoilt = ~_finite_rows(members)
+        x = self.solve(np.where(spoilt[:, None], 0.0, members)).reshape(members.shape)
+        x[spoilt] = np.nan
         return x.reshape(rhs.shape)
 
 
-def _veto_caustic(factor, blocks):
-    """Raise SingularHessian when the interior second variation is a caustic.
+def _finite_rows(a):
+    """Whether each entry a[b] along the leading axis is finite throughout."""
+    return np.isfinite(a).reshape(len(a), -1).all(axis=1)
 
-    ``factor`` factors H, the interior second variation built from
-    ``blocks``; H_kin is the same tridiagonal built from the kinetic blocks
-    alone.  The mixed blocks d^2 S / dx_f dx_i of their Schur complements
-    tend to -J(T)^{-1} and -J_free(T)^{-1}, where J(T) takes the initial
-    momentum of a Jacobi field vanishing at t_i to its final value.  The
-    eigenvalues of J J_free^{-1} are the Gelfand-Yaglom ratios of the modes
-    (their product is det H / det H_kin in the continuum limit).  They do not
-    change under linear changes of coordinates, and a mode's ratio vanishes
-    at its conjugate point; the smallest in modulus decides.
+
+def _caustic_ratios(factor, blocks):
+    """Smallest Gelfand-Yaglom mode ratio in modulus of each member, (B,).
+
+    ``factor`` factors H, the interior second variation built from the
+    stacked ``blocks``; H_kin is the same tridiagonal built from the kinetic
+    blocks alone.  The mixed blocks d^2 S / dx_f dx_i of their Schur
+    complements tend to -J(T)^{-1} and -J_free(T)^{-1}, where J(T) takes the
+    initial momentum of a Jacobi field vanishing at t_i to its final value.
+    The eigenvalues of J J_free^{-1} are the Gelfand-Yaglom ratios of the
+    modes (their product is det H / det H_kin in the continuum limit).  They
+    do not change under linear changes of coordinates, and a mode's ratio
+    vanishes at its conjugate point; the smallest in modulus decides.  A
+    member whose ratio cannot be formed reads 0.
     """
     kin = blocks["kin"]
-    n = kin.shape[1]
+    n = kin.shape[-1]
     free = {"D00": kin, "D01": -kin, "D11": kin}
-    Hfi = _schur_boundary(blocks, factor)[n:, :n]
-    Hfi_free = _schur_boundary(free, BandFactor(free))[n:, :n]
+    free_factor = BandFactor(free)
+    Hfi = _schur_boundary(blocks, factor)[:, n:, :n]
+    Hfi_free = _schur_boundary(free, free_factor)[:, n:, :n]
+    bad = free_factor.singular | ~_finite_rows(Hfi + Hfi_free)
+    if bad.any():
+        Hfi_free[bad], Hfi[bad] = np.eye(n), np.eye(n)
     inverse = np.linalg.solve(Hfi_free, Hfi)  # J_free J^{-1}
-    ratio = 0.0
-    if np.all(np.isfinite(inverse)):
-        ratio = 1.0 / np.max(np.abs(np.linalg.eigvals(inverse)))
-    if ratio < CAUSTIC_TOL:
-        raise SingularHessian(
-            f"interior second variation nearly singular (smallest "
-            f"Gelfand-Yaglom mode ratio {ratio:.2e}): conjugate point")
+    bad |= ~_finite_rows(inverse)
+    if bad.any():
+        inverse[bad] = np.eye(n)
+    ratio = 1.0 / np.max(np.abs(np.linalg.eigvals(inverse)), axis=-1)
+    ratio[bad] = 0.0
+    return ratio
 
 
 # ---------------------------------------------------------------------------
 # Newton boundary-value solver
 
 def straight_line_history(x_f, x_i, grid):
+    """Straight history from x_i to x_f: (N+1, n) for boundary points of
+    shape (n,), or a stack (B, N+1, n) for points of shape (B, n)."""
     s = np.linspace(0.0, 1.0, grid.N + 1)[:, None]
-    return (1 - s) * np.asarray(x_i, float)[None, :] + s * np.asarray(x_f, float)[None, :]
+    x_f = np.asarray(x_f, float)[..., None, :]
+    x_i = np.asarray(x_i, float)[..., None, :]
+    return (1 - s) * x_i + s * x_f
 
 
 def solve_classical(spec, x_f, x_i, grid, init=None):
@@ -266,7 +355,7 @@ def solve_classical(spec, x_f, x_i, grid, init=None):
     the caustic verdict runs on the converged iterate and, before a stalled
     iteration is reported, on the current one.  Each accepted line-search
     trial becomes the next iterate with the gradient and blocks it was
-    evaluated with.
+    evaluated with.  This is the one-member case of ``solve_classical_batch``.
     """
     n = spec.dim
     x_f = np.asarray(x_f, dtype=float)
@@ -274,50 +363,186 @@ def solve_classical(spec, x_f, x_i, grid, init=None):
     if x_f.shape != (n,) or x_i.shape != (n,):
         raise ValueError(f"boundary points must have shape ({n},)")
     h = straight_line_history(x_f, x_i, grid) if init is None else \
-        _as_history(init, grid, n).copy()
+        _as_history(init, grid, n, stack=False).copy()
     h[0], h[-1] = x_i, x_f
+    history, p_f, p_i, residual, iterations, errors, last = _newton(spec, h[None], grid)
+    if errors[0] is not None:
+        raise errors[0]
+    state, factor = last
+    return ClassicalSolution(history=history[0],
+                             action=discrete_action(spec, history[0], grid),
+                             p_f=p_f[0], p_i=p_i[0], converged=True,
+                             residual_norm=float(residual[0]), grid=grid, spec=spec,
+                             blocks={k: state[k][0] for k in ("D00", "D01", "D11", "kin")},
+                             factor=factor, iterations=int(iterations[0]))
 
-    tol = RESIDUAL_TOL * n * grid.N
-    res_norm = np.inf
-    grad_int, (p_f, p_i), blocks = action_gradient_hessian(spec, h, grid)
+
+def solve_classical_batch(spec, XF, XI, grid):
+    """Two-point solutions for a batch of boundary pairs, one per column of
+    XF and XI (shape (n, B)).
+
+    The Newton iteration of ``solve_classical`` runs on chunks of members
+    (CHUNK_ELEMENTS node x member elements each); a member's results match
+    its own ``solve_classical`` to round-off, and a failure stays with its
+    member.
+    """
+    n = spec.dim
+    XF = np.asarray(XF, dtype=float)
+    XI = np.asarray(XI, dtype=float)
+    if XF.ndim != 2 or XF.shape[0] != n or XI.shape != XF.shape:
+        raise ValueError(f"boundary points must have shape ({n}, B)")
+    B = XF.shape[1]
+    history = np.full((B, grid.N + 1, n), np.nan)
+    p_f = np.full((B, n), np.nan)
+    p_i = np.full((B, n), np.nan)
+    action = np.full(B, np.nan)
+    iterations = np.zeros(B, dtype=int)
+    errors = []
+    size = max(1, CHUNK_ELEMENTS // (grid.N + 1))
+    for lo in range(0, B, size):
+        chunk = slice(lo, lo + size)
+        h = straight_line_history(XF[:, chunk].T, XI[:, chunk].T, grid)
+        h, p_f[chunk], p_i[chunk], _, iterations[chunk], chunk_errors, _ = \
+            _newton(spec, h, grid)
+        ok = lo + np.flatnonzero([e is None for e in chunk_errors])
+        if ok.size:
+            history[ok] = h[ok - lo]
+            action[ok] = discrete_action(spec, history[ok], grid)
+        errors += chunk_errors
+    return ClassicalBatch(history=np.moveaxis(history, 0, -1), action=action,
+                          p_f=p_f.T, p_i=p_i.T, iterations=iterations,
+                          errors=errors)
+
+
+def _evaluate(spec, h, grid):
+    """``action_gradient_hessian`` of a stack of histories as one dict of
+    member-leading arrays (None if every member raised), and per member the
+    exception its own evaluation raised, or None.
+
+    One call covers the stack; only when it raises are the members evaluated
+    one at a time, and a member that raised holds NaN.
+    """
+    def flat(evaluated):
+        grad, (p_f, p_i), blocks = evaluated
+        return {"grad": grad, "p_f": p_f, "p_i": p_i, **blocks}
+
+    try:
+        return flat(action_gradient_hessian(spec, h, grid)), [None] * len(h)
+    except Exception as exc:
+        if len(h) == 1:
+            return None, [exc]
+    parts, errors = [], []
+    for member in h:
+        try:
+            parts.append(flat(action_gradient_hessian(spec, member[None], grid)))
+            errors.append(None)
+        except Exception as exc:
+            parts.append(None)
+            errors.append(exc)
+    done = [p for p in parts if p is not None]
+    if not done:
+        return None, errors
+    nan = {k: np.full_like(v, np.nan) for k, v in done[0].items()}
+    return {k: np.concatenate([(nan if p is None else p)[k] for p in parts])
+            for k in nan}, errors
+
+
+def _newton(spec, h, grid):
+    """Newton iteration on the interior Euler-Lagrange residual of a stack
+    of histories h (B, N+1, n), endpoints held fixed.
+
+    Every member keeps its own residual test, Armijo step length and caustic
+    verdict, and leaves the working arrays once it converges or fails.
+    Returns (history, p_f, p_i, residual, iterations, errors, last): per
+    member its converged history and boundary momenta (NaN momenta if it
+    failed), its last residual and iteration count, and the exception that
+    failed it or None; ``last`` is (state, factor) of the last iteration,
+    for B = 1 the member's own gradient, momenta, blocks and interior factor.
+    """
+    B, n, N = len(h), spec.dim, grid.N
+    history = h.copy()
+    p_f, p_i = np.full((B, n), np.nan), np.full((B, n), np.nan)
+    residual, iterations = np.full(B, np.inf), np.zeros(B, dtype=int)
+    state, errors = _evaluate(spec, h, grid)
+    live = np.flatnonzero([e is None for e in errors])  # one working row each
+    if not live.size:
+        return history, p_f, p_i, residual, iterations, errors, None
+    if live.size < B:
+        h, state = h[live], {k: v[live] for k, v in state.items()}
+    # the gradient carries rounding of about eps |C/tau| |h| sqrt(N), which
+    # the absolute tolerance alone would not admit when tau is tiny
+    tol = np.maximum(RESIDUAL_TOL * n * N, EPS * np.sqrt(N)
+                     * np.abs(state["kin"]).reshape(live.size, -1).max(axis=1)
+                     * np.abs(h).reshape(live.size, -1).max(axis=1))
     for iteration in range(MAX_NEWTON_ITER):
-        res_norm = float(np.linalg.norm(grad_int))
-        factor = BandFactor(blocks)
-        if res_norm <= tol:
-            # converged: now veto caustics before reporting success
-            _veto_caustic(factor, blocks)
-            action = discrete_action(spec, h, grid)
-            return ClassicalSolution(history=h, action=action, p_f=p_f, p_i=p_i,
-                                     converged=True, residual_norm=res_norm,
-                                     grid=grid, spec=spec, blocks=blocks,
-                                     factor=factor, iterations=iteration)
-        step = -factor.solve(grad_int)
-        if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 1e12:
-            _veto_caustic(factor, blocks)
-            raise NoConvergence(iteration, res_norm)
-        # Armijo backtracking on the squared residual norm
-        merit = 0.5 * res_norm**2
-        alpha = 1.0
-        accepted = False
+        res = np.array([np.linalg.norm(g) for g in state["grad"]])
+        factor = BandFactor(state)
+        last = state, factor
+        singular = factor.singular
+        converged = ~singular & (res <= tol)
+        search = ~(singular | converged)
+        blown = np.zeros(live.size, dtype=bool)
+        if search.any():
+            step = -factor.solve(state["grad"])
+            # a step that is not finite has no norm <= 1e12 either
+            blown = search & ~(np.sum(step.reshape(live.size, -1) ** 2, axis=1) <= 1e24)
+        pending = (search & ~blown).nonzero()[0]
+
+        # Armijo backtracking on the squared residual norm, row by row
+        alpha = np.ones(pending.size)
         for _ in range(40):
-            trial = h.copy()
-            trial[1:-1] += alpha * step
-            try:
-                evaluated = action_gradient_hessian(spec, trial, grid)
-            except Exception:
-                alpha *= BACKTRACK
-                continue
-            g_trial = evaluated[0]
-            if 0.5 * float(np.sum(g_trial**2)) <= merit - ARMIJO_C * alpha * res_norm**2:
-                h = trial
-                grad_int, (p_f, p_i), blocks = evaluated
-                accepted = True
+            if not pending.size:
                 break
-            alpha *= BACKTRACK
-        if not accepted:
-            _veto_caustic(factor, blocks)
-            raise NoConvergence(iteration + 1, res_norm)
-    raise NoConvergence(MAX_NEWTON_ITER, res_norm)
+            trial = h[pending]
+            trial[:, 1:-1] += alpha[:, None, None] * step[pending]
+            evaluated, raised = _evaluate(spec, trial, grid)
+            accept = np.array([e is None for e in raised])
+            if evaluated is not None:
+                g2 = np.sum((evaluated["grad"] ** 2).reshape(pending.size, -1), axis=1)
+                r2 = res[pending] ** 2
+                accept &= 0.5 * g2 <= 0.5 * r2 - ARMIJO_C * alpha * r2
+            if accept.all() and pending.size == live.size:
+                h, state = trial, evaluated
+            elif accept.any():
+                h[pending[accept]] = trial[accept]
+                for k in state:
+                    state[k][pending[accept]] = evaluated[k][accept]
+            pending, alpha = pending[~accept], alpha[~accept] * BACKTRACK
+        stalled = np.zeros(live.size, dtype=bool)
+        stalled[pending] = True
+
+        # converged and failed members leave; a caustic outranks a stall.  No
+        # step moved their rows, so they still match the factor.
+        done = ~search | blown | stalled
+        if not done.any():
+            continue
+        if (done & ~singular).any():
+            ratio = _caustic_ratios(factor, last[0])
+        for j in np.flatnonzero(done):
+            m = live[j]
+            residual[m], iterations[m] = res[j], iteration
+            if singular[j]:
+                errors[m] = factor.errors[j]
+            elif ratio[j] < CAUSTIC_TOL:
+                errors[m] = SingularHessian(
+                    f"interior second variation nearly singular (smallest "
+                    f"Gelfand-Yaglom mode ratio {ratio[j]:.2e}): conjugate point")
+            elif blown[j]:
+                errors[m] = NoConvergence(iteration, res[j])
+            elif stalled[j]:
+                errors[m] = NoConvergence(iteration + 1, res[j])
+            else:
+                history[m], p_f[m], p_i[m] = h[j], state["p_f"][j], state["p_i"][j]
+        if done.all():
+            break
+        keep = ~done
+        live, h, tol, res = live[keep], h[keep], tol[keep], res[keep]
+        state = {k: v[keep] for k, v in state.items()}
+    else:
+        for j, m in enumerate(live):
+            residual[m], iterations[m] = res[j], MAX_NEWTON_ITER
+            errors[m] = NoConvergence(MAX_NEWTON_ITER, res[j])
+    return history, p_f, p_i, residual, iterations, errors, last
 
 
 # ---------------------------------------------------------------------------
@@ -348,24 +573,23 @@ def _split_boundary(Hb):
 
 def _schur_boundary(blocks, factor):
     """Boundary Hessian, ordered (initial, final), from the interval blocks
-    and the interior factor."""
+    and the interior factor; a leading member axis of the blocks is kept."""
     D00, D01, D11 = blocks["D00"], blocks["D01"], blocks["D11"]
-    n = D00.shape[1]
-    K = D00.shape[0] - 1
+    lead, (N, n) = D00.shape[:-3], D00.shape[-3:-1]
 
     # rhs columns coupling interior to node 0 and node N
-    cols = np.zeros((K, n, 2 * n))
-    cols[0, :, :n] = np.swapaxes(D01[0], 0, 1)  # block (1, 0) = D01_0^T
-    cols[-1, :, n:] = D01[-1]                   # block (N-1, N) = D01_{N-1}
+    cols = np.zeros(lead + (N - 1, n, 2 * n))
+    cols[..., 0, :, :n] = np.swapaxes(D01[..., 0, :, :], -1, -2)  # block (1, 0) = D01_0^T
+    cols[..., -1, :, n:] = D01[..., -1, :, :]                    # block (N-1, N) = D01_{N-1}
     Y = factor.solve(cols)
 
-    Sbb = np.zeros((2 * n, 2 * n))
-    Sbb[:n, :n] = D00[0]
-    Sbb[n:, n:] = D11[-1]
+    Sbb = np.zeros(lead + (2 * n, 2 * n))
+    Sbb[..., :n, :n] = D00[..., 0, :, :]
+    Sbb[..., n:, n:] = D11[..., -1, :, :]
     # S_bI Y: only first/last interior blocks couple
-    SbIY = np.zeros((2 * n, 2 * n))
-    SbIY[:n] = D01[0] @ Y[0]
-    SbIY[n:] = np.swapaxes(D01[-1], 0, 1) @ Y[-1]
+    SbIY = np.zeros(lead + (2 * n, 2 * n))
+    SbIY[..., :n, :] = D01[..., 0, :, :] @ Y[..., 0, :, :]
+    SbIY[..., n:, :] = np.swapaxes(D01[..., -1, :, :], -1, -2) @ Y[..., -1, :, :]
     return Sbb - SbIY
 
 

@@ -457,12 +457,23 @@ def build_parser():
     return parser
 
 
+def _configure_logging():
+    """Send the package's log records to the current stderr at the BMECH_LOG
+    level, replacing the handler of any earlier call in the process."""
+    for handler in [h for h in log.handlers if h.get_name() == "bmech.cli"]:
+        log.removeHandler(handler)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name("bmech.cli")
+    handler.setFormatter(logging.Formatter("bmech %(levelname)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel({"error": logging.ERROR, "info": logging.INFO,
+                  "debug": logging.DEBUG}.get(os.environ.get("BMECH_LOG", "error"),
+                                              logging.ERROR))
+    log.propagate = False
+
+
 def main(argv=None):
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("BMECH_LOG", "error"),
-                                         logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="bmech %(levelname)s: %(message)s")
+    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,9 +14,10 @@ from bmech.classical import (
     discrete_action,
     jacobi_and_greens,
     solve_classical,
+    solve_classical_batch,
     straight_line_history,
 )
-from bmech.errors import NoConvergence, SingularHessian
+from bmech.errors import BmechError, DomainError, NoConvergence, SingularHessian
 from conftest import osc_action
 
 
@@ -134,6 +135,31 @@ class TestBandFactor:
         with pytest.raises(SingularHessian):
             BandFactor({"D00": zero, "D01": zero, "D11": zero})
 
+    def test_members_are_factored_alone(self, rng):
+        # four stacked members, one exactly singular and one with a NaN
+        # block: the others solve exactly as if factored alone, and a
+        # non-finite right-hand side spoils only its own member
+        N, n = 9, 2
+        sym = lambda M: M + np.swapaxes(M, -1, -2)  # noqa: E731
+        blocks = {"D00": sym(rng.standard_normal((4, N, n, n))),
+                  "D01": rng.standard_normal((4, N, n, n)),
+                  "D11": sym(rng.standard_normal((4, N, n, n)))}
+        for block in blocks.values():
+            block[1] = 0.0
+        blocks["D01"][2, 4, 0, 1] = np.nan
+        factor = BandFactor(blocks)
+        assert factor.errors[0] is None and factor.errors[3] is None
+        assert "zero pivot" in str(factor.errors[1])
+        assert "non-finite" in str(factor.errors[2])
+        assert list(factor.singular) == [False, True, True, False]
+        rhs = rng.standard_normal((4, N - 1, n))
+        rhs[1, 0, 0] = np.inf
+        x = factor.solve(rhs)
+        assert np.isnan(x[1]).all()
+        for m in (0, 3):
+            alone = BandFactor({k: v[m] for k, v in blocks.items()})
+            assert np.array_equal(x[m], alone.solve(rhs[m]))
+
 
 class TestSolve:
     def test_free_particle(self, free_spec):
@@ -193,6 +219,16 @@ class TestSolve:
         with pytest.raises(SingularHessian):
             solve_classical(spec, x, x, TimeGrid(0.0, np.pi, 200))
         assert solve_classical(spec, x, x, TimeGrid(0.0, 3.0, 200)).converged
+
+    def test_tiny_time_step_converges(self, osc_spec):
+        # tau = 2.5e-9: the gradient's rounding, eps |C/tau| |h| sqrt(N), is
+        # about 3e-6, above the absolute tolerance RESIDUAL_TOL n N = 4e-7
+        T = 1e-5
+        sol = solve_classical(osc_spec, np.array([0.5]), np.array([0.1]),
+                              TimeGrid(0.0, T, 4000))
+        assert sol.converged
+        assert sol.p_f[0] == pytest.approx((0.5 * np.cos(T) - 0.1) / np.sin(T), rel=1e-9)
+        assert sol.p_i[0] == pytest.approx((0.5 - 0.1 * np.cos(T)) / np.sin(T), rel=1e-9)
 
     def test_nonlinear_pendulum(self, pendulum_spec):
         sol = solve_classical(pendulum_spec, np.array([2.0]), np.array([0.3]),
@@ -258,6 +294,71 @@ class TestSolve:
             Sm = solve_classical(osc_spec, xf, xi - step, grid).action
             assert (Sp - Sm) / (2 * step) == pytest.approx(
                 -sol.p_i[0], rel=1e-5, abs=1e-8)
+
+
+class TestBatch:
+    """solve_classical_batch against one solve_classical call per member."""
+
+    @pytest.mark.parametrize("system", ["free", "osc", "pendulum", "coupled"])
+    def test_matches_one_solve_per_member(self, system, request, rng):
+        spec = unit_mass_system("0.5*x1^2 + 0.8*x2^2 + 0.3*x1*x2 + 0.1*x1^2*x2^2", 2) \
+            if system == "coupled" else request.getfixturevalue(f"{system}_spec")
+        grid = TimeGrid(0.0, 1.2, 200)
+        B = 23  # three chunks at N = 200
+        assert B > classical.CHUNK_ELEMENTS // (grid.N + 1)
+        XF = rng.uniform(-1.5, 1.5, (spec.dim, B))
+        XI = rng.uniform(-1.5, 1.5, (spec.dim, B))
+        batch = solve_classical_batch(spec, XF, XI, grid)
+        assert batch.history.shape == (grid.N + 1, spec.dim, B)
+        for b in range(B):
+            sol = solve_classical(spec, XF[:, b], XI[:, b], grid)
+            assert batch.errors[b] is None
+            assert batch.iterations[b] == sol.iterations
+            np.testing.assert_allclose(batch.action[b], sol.action, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(batch.p_f[:, b], sol.p_f, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(batch.p_i[:, b], sol.p_i, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(batch.history[:, :, b], sol.history,
+                                       rtol=1e-12, atol=0)
+
+    def test_caustic_fails_every_member(self, osc_spec, rng):
+        # every pair of the oscillator has its conjugate point at T = pi
+        XF, XI = rng.uniform(-2.0, 2.0, (2, 1, 13))
+        batch = solve_classical_batch(osc_spec, XF, XI, TimeGrid(0.0, np.pi, 200))
+        assert all(isinstance(e, SingularHessian) for e in batch.errors)
+        for values in (batch.history, batch.action, batch.p_f, batch.p_i):
+            assert np.isnan(values).all()
+
+    def test_failures_stay_with_their_member(self):
+        # sqrt(x1) raises for x1 < 0 and turns the line search back near 0;
+        # this 36-pair batch (two chunks) meets every error type
+        spec = sysdsl.parse(json.dumps({
+            "name": "root", "dim": 1,
+            "lagrangian": "0.5*v1^2 - 3*x1^2 + sqrt(x1)",
+            "domain": [{"min": -2.0, "max": 2.0}]}))
+        xs = np.array([-0.5, 0.02, 0.1, 0.3, 1.0, 1.5])
+        XF, XI = (a.reshape(1, -1) for a in np.meshgrid(xs, xs, indexing="ij"))
+        grid = TimeGrid(0.0, 1.0, 60)
+        batch = solve_classical_batch(spec, XF, XI, grid)
+        seen = set()
+        for b in range(XF.shape[1]):
+            try:
+                sol = solve_classical(spec, XF[:, b], XI[:, b], grid)
+            except BmechError as exc:
+                assert type(batch.errors[b]) is type(exc)
+                assert str(batch.errors[b]) == str(exc)
+                assert np.isnan(batch.action[b]) and np.isnan(batch.p_f[:, b]).all()
+                seen.add(type(exc))
+                continue
+            assert batch.errors[b] is None
+            np.testing.assert_allclose(batch.action[b], sol.action, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(batch.p_f[:, b], sol.p_f, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(batch.p_i[:, b], sol.p_i, rtol=1e-12, atol=0)
+        assert seen == {DomainError, NoConvergence, SingularHessian}
+
+    def test_shape_validation(self, free_spec):
+        with pytest.raises(ValueError):
+            solve_classical_batch(free_spec, np.zeros(3), np.zeros(3),
+                                  TimeGrid(0.0, 1.0, 16))
 
 
 class TestActionDerivs:

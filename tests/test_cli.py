@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -232,14 +234,30 @@ class TestUsageErrors:
 
 class TestLogging:
     def test_bmech_log_env_controls_verbosity(self, tmp_path, monkeypatch, capsys):
-        import logging
         monkeypatch.setenv("BMECH_LOG", "info")
-        # force a fresh config: main() calls basicConfig, which is a no-op if
-        # handlers already exist
-        logging.getLogger().handlers.clear()
         out = tmp_path / "r.json"
         assert main(["parse", "--spec", OSC, "--out", str(out)]) == 0
         assert "report written" in capsys.readouterr().err
+
+    def test_each_call_logs_to_its_own_stderr(self, tmp_path, monkeypatch, capsys):
+        # an info-level call whose stderr is closed afterwards, then a
+        # failing call at the default level: one stderr line, no logging
+        # traceback from the first call's stream
+        monkeypatch.setenv("BMECH_LOG", "info")
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream):
+            assert main(["parse", "--spec", OSC, "--out", str(tmp_path / "r.json")]) == 0
+        assert "report written" in stream.getvalue()
+        stream.close()
+        monkeypatch.delenv("BMECH_LOG")
+        steep = tmp_path / "steep.json"
+        steep.write_text(STEEP_OSCILLATOR)
+        code, _, _ = run(tmp_path, "propagator", "--spec", str(steep),
+                         "--T", "1", "--grid", "64", "--method", "trotter",
+                         "--slices", "2")
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Instability" in err[0]
 
 
 class TestReportAggregation:

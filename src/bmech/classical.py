@@ -50,10 +50,12 @@ BACKTRACK = 0.5
 RESIDUAL_TOL = 1e-10
 EPS = np.finfo(float).eps
 
-# Node x member elements of one batched Newton chunk, about ten members at
-# N = 200: it bounds the working arrays (a 625-member batch in one piece
-# doubled the peak memory of a semiclassical call).
-CHUNK_ELEMENTS = 2048
+# Node x member elements of one batched Newton chunk, about forty members at
+# N = 200: it bounds the working arrays.  The semiclassical benchmark, of
+# README-size calls, peaks at 91 MB of RSS with it, at 88 MB with 2048-element
+# chunks and at 95 MB with 16384, which are no faster; one 625-member piece
+# peaks at 135 MB and is slower.
+CHUNK_ELEMENTS = 8192
 
 # A second variation with a Gelfand-Yaglom mode ratio below this in modulus
 # is a caustic.  The ratios are scale-free and grid-independent: on the

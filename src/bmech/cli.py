@@ -22,6 +22,7 @@ from . import bqm, quantize, symplectic, sysdsl
 from .classical import TimeGrid, jacobi_and_greens, solve_classical
 from .errors import (
     BmechError,
+    Degenerate,
     DimensionMismatch,
     DomainError,
     ExprSyntaxError,
@@ -30,6 +31,7 @@ from .errors import (
     NonNaturalLagrangian,
     OffShell,
     SingularHessian,
+    SingularMetric,
     SpecError,
     UnknownIdentifier,
     WeightMismatch,
@@ -37,9 +39,10 @@ from .errors import (
 
 log = logging.getLogger("bmech")
 
+# a singular or degenerate metric is a defect of the system file
 USAGE_ERRORS = (SpecError, ExprSyntaxError, UnknownIdentifier, DimensionMismatch,
-                DomainError, WeightMismatch, NonNaturalLagrangian,
-                FileNotFoundError, ValueError)
+                DomainError, WeightMismatch, NonNaturalLagrangian, SingularMetric,
+                Degenerate, FileNotFoundError, ValueError)
 NUMERICAL_ERRORS = (NoConvergence, SingularHessian, Instability, OffShell)
 
 
@@ -103,6 +106,28 @@ def _floats(text):
     return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
 
 
+def _scan_times(text):
+    """Final times of a ``--scan start:stop:count`` value: finite times and a
+    count of at least one, or an argparse usage error."""
+    fields = text.split(":")
+    try:
+        start, stop, count = float(fields[0]), float(fields[1]), int(fields[2])
+        ok = len(fields) == 3 and np.isfinite([start, stop]).all() and count >= 1
+    except (ValueError, IndexError):
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:count with finite times and a count of at "
+            f"least 1, got {text!r}")
+    return np.linspace(start, stop, count)
+
+
+def _scan_arg(text):
+    """Validate --scan while parsing; the text itself stays the report's echo."""
+    _scan_times(text)
+    return text
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -149,10 +174,8 @@ def cmd_classical(args):
         if not spec.contains(x):
             raise DomainError(f"boundary point {x.tolist()} outside declared domain")
     if args.scan:
-        start, stop, count = args.scan.split(":")
-        tfs = np.linspace(float(start), float(stop), int(count))
         records = []
-        for tf in tfs:
+        for tf in _scan_times(args.scan):
             entry = {"tf": float(tf)}
             try:
                 entry.update(_classical_record(
@@ -405,7 +428,7 @@ def build_parser():
     p.add_argument("--ti", type=float, default=0.0)
     p.add_argument("--tf", type=float, required=True)
     p.add_argument("--slices", type=int, default=200)
-    p.add_argument("--scan", default=None,
+    p.add_argument("--scan", default=None, type=_scan_arg,
                    help="scan final times, format start:stop:count")
     p.set_defaults(func=cmd_classical)
 

@@ -339,26 +339,44 @@ def _pow_plain(a, b):
 # Second-order Taylor arithmetic (forward mode, vectorized)
 
 class _Taylor2:
-    """Value, gradient, and Hessian over m directions, broadcast over a batch."""
+    """Value, gradient, and Hessian over m directions, broadcast over a batch.
+
+    A gradient or Hessian of None stands for exact zeros.  Numbers and
+    parameters carry neither and keep a scalar value; a seeded variable
+    carries a gradient and no Hessian.  The operations below skip every term
+    with a None factor, and ``eval_derivs`` turns None into zero arrays once,
+    at the end.  So a gradient of None marks a subtree of numbers and
+    parameters only: ``t`` is seeded with a zero gradient to keep it a
+    variable.
+    """
 
     __slots__ = ("v", "g", "h")
 
-    def __init__(self, v, g, h):
+    def __init__(self, v, g=None, h=None):
         self.v = v
         self.g = g
         self.h = h
 
     @classmethod
-    def const(cls, value, m, batch):
-        return cls(np.broadcast_to(np.asarray(value, dtype=float), batch).copy()
-                   if batch else float(value),
-                   np.zeros((m,) + batch), np.zeros((m, m) + batch))
-
-    @classmethod
     def seed(cls, value, direction, m, batch):
+        """A variable; ``direction`` None gives it a zero gradient."""
         g = np.zeros((m,) + batch)
-        g[direction] = 1.0
-        return cls(np.asarray(value, dtype=float), g, np.zeros((m, m) + batch))
+        if direction is not None:
+            g[direction] = 1.0
+        return cls(np.asarray(value, dtype=float), g)
+
+
+def _sum(*terms):
+    """Left-to-right sum of the terms that are not None (None if all are)."""
+    out = None
+    for term in terms:
+        if term is not None:
+            out = term if out is None else out + term
+    return out
+
+
+def _scale(d, s):
+    return None if d is None else d * s
 
 
 def _outer(ga, gb):
@@ -366,24 +384,36 @@ def _outer(ga, gb):
 
 
 def _t2_add(a, b):
-    return _Taylor2(a.v + b.v, a.g + b.g, a.h + b.h)
+    return _Taylor2(a.v + b.v, _sum(a.g, b.g), _sum(a.h, b.h))
+
+
+def _diff(da, db):
+    if db is None:
+        return da
+    return -db if da is None else da - db
 
 
 def _t2_sub(a, b):
-    return _Taylor2(a.v - b.v, a.g - b.g, a.h - b.h)
+    return _Taylor2(a.v - b.v, _diff(a.g, b.g), _diff(a.h, b.h))
 
 
 def _t2_mul(a, b):
-    return _Taylor2(
-        a.v * b.v,
-        a.g * b.v + a.v * b.g,
-        a.h * b.v + a.v * b.h + _outer(a.g, b.g) + _outer(b.g, a.g),
-    )
+    h = _sum(_scale(a.h, b.v), _scale(b.h, a.v))
+    if a.g is not None and b.g is not None:
+        cross = _outer(a.g, b.g)  # its transpose is _outer(b.g, a.g), exactly
+        h = _sum(h, cross, np.swapaxes(cross, 0, 1))
+    return _Taylor2(a.v * b.v, _sum(_scale(a.g, b.v), _scale(b.g, a.v)), h)
 
 
 def _t2_chain(a, f0, f1, f2):
-    """Compose with a scalar function given value, first, second derivative."""
-    return _Taylor2(f0, f1 * a.g, f1 * a.h + f2 * _outer(a.g, a.g))
+    """Compose with a scalar function given value, first, second derivative
+    (f2 None for a zero second derivative)."""
+    if a.g is None:
+        return _Taylor2(f0)
+    h = _scale(a.h, f1)
+    if f2 is not None:
+        h = _sum(h, f2 * _outer(a.g, a.g))
+    return _Taylor2(f0, f1 * a.g, h)
 
 
 def _t2_recip(a):
@@ -397,7 +427,7 @@ def _t2_div(a, b):
 
 
 def _t2_neg(a):
-    return _Taylor2(-a.v, -a.g, -a.h)
+    return _Taylor2(-a.v, _scale(a.g, -1.0), _scale(a.h, -1.0))
 
 
 def _t2_unary(op, a):
@@ -420,23 +450,23 @@ def _t2_unary(op, a):
         r = np.sqrt(a.v)
         return _t2_chain(a, r, 0.5 / r, -0.25 / (r * a.v))
     if op == "abs":
-        s = np.sign(a.v)
-        return _t2_chain(a, np.abs(a.v), s, np.zeros_like(np.asarray(a.v, dtype=float)))
+        return _t2_chain(a, np.abs(a.v), np.sign(a.v), None)
     raise ValueError(f"unknown function {op}")
 
 
-def _t2_pow(a, b, const_exponent=None):
-    # constant exponent keeps the power rule (negative bases allowed for integers)
-    if const_exponent is not None:
-        p = const_exponent
+def _t2_pow(a, b):
+    # a constant exponent (numbers and parameters only) keeps the power rule,
+    # which allows negative bases for integer exponents
+    if b.g is None and np.ndim(b.v) == 0:
+        p = float(b.v)
         if p == np.round(p):
             if p == 0:
                 one = np.ones_like(np.asarray(a.v, dtype=float))
-                return _t2_chain(a, one, 0.0 * one, 0.0 * one)
+                return _t2_chain(a, one, 0.0 * one, None)
             _check((np.abs(a.v) > 0) | (p > 1), "zero base with exponent below one")
             f0 = a.v**p
             f1 = p * a.v ** (p - 1)
-            f2 = p * (p - 1) * a.v ** (p - 2) if p != 1 else np.zeros_like(f0)
+            f2 = p * (p - 1) * a.v ** (p - 2) if p != 1 else None
             return _t2_chain(a, f0, f1, f2)
         _check(a.v > 0, "non-integer power of non-positive base")
         f0 = a.v**p
@@ -445,29 +475,16 @@ def _t2_pow(a, b, const_exponent=None):
     return _t2_unary("exp", _t2_mul(b, _t2_unary("log", a)))
 
 
-def _is_const_tree(e):
-    """True when the subtree holds no variable references (params are constants)."""
-    if isinstance(e, (Num, Param)):
-        return True
-    if isinstance(e, Var):
-        return False
-    if isinstance(e, Unary):
-        return _is_const_tree(e.arg)
-    if isinstance(e, Binary):
-        return _is_const_tree(e.left) and _is_const_tree(e.right)
-    return False
-
-
 def _eval_t2(e, ctx):
     if isinstance(e, Num):
-        return _Taylor2.const(e.value, ctx["m"], ctx["batch"])
+        return _Taylor2(e.value)
     if isinstance(e, Param):
         if e.name not in ctx["params"]:
             raise DomainError(f"unbound parameter '{e.name}'")
-        return _Taylor2.const(ctx["params"][e.name], ctx["m"], ctx["batch"])
+        return _Taylor2(float(ctx["params"][e.name]))
     if isinstance(e, Var):
         if e.kind == "t":
-            return _Taylor2.const(ctx["t"], ctx["m"], ctx["batch"])
+            return _Taylor2.seed(ctx["t"], None, ctx["m"], ctx["batch"])
         n = ctx["n"]
         if e.kind == "x":
             return _Taylor2.seed(ctx["x"][e.index], e.index, ctx["m"], ctx["batch"])
@@ -476,12 +493,9 @@ def _eval_t2(e, ctx):
         return _t2_unary(e.op, _eval_t2(e.arg, ctx))
     if isinstance(e, Binary):
         a = _eval_t2(e.left, ctx)
-        if e.op == "^":
-            if _is_const_tree(e.right):
-                p = float(eval_expr(e.right, params=ctx["params"]))
-                return _t2_pow(a, None, const_exponent=p)
-            return _t2_pow(a, _eval_t2(e.right, ctx))
         b = _eval_t2(e.right, ctx)
+        if e.op == "^":
+            return _t2_pow(a, b)
         if e.op == "+":
             return _t2_add(a, b)
         if e.op == "-":
@@ -506,8 +520,11 @@ def eval_derivs(e, n, x, v, t=0.0, params=None):
     ctx = {"n": n, "m": 2 * n, "batch": batch, "x": x, "v": v, "t": t,
            "params": params or {}}
     out = _eval_t2(e, ctx)
-    val = out.v if batch else float(out.v)
-    return val, out.g, out.h
+    m = ctx["m"]
+    val = np.broadcast_to(out.v, batch).copy() if batch else float(out.v)
+    g = np.zeros((m,) + batch) if out.g is None else out.g
+    h = np.zeros((m, m) + batch) if out.h is None else out.h
+    return val, g, h
 
 
 # ---------------------------------------------------------------------------

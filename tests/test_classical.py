@@ -300,10 +300,11 @@ class TestBatch:
     """solve_classical_batch against one solve_classical call per member."""
 
     @pytest.mark.parametrize("system", ["free", "osc", "pendulum", "coupled"])
-    def test_matches_one_solve_per_member(self, system, request, rng):
+    def test_matches_one_solve_per_member(self, system, request, rng, monkeypatch):
         spec = unit_mass_system("0.5*x1^2 + 0.8*x2^2 + 0.3*x1*x2 + 0.1*x1^2*x2^2", 2) \
             if system == "coupled" else request.getfixturevalue(f"{system}_spec")
         grid = TimeGrid(0.0, 1.2, 200)
+        monkeypatch.setattr(classical, "CHUNK_ELEMENTS", 2048)
         B = 23  # three chunks at N = 200
         assert B > classical.CHUNK_ELEMENTS // (grid.N + 1)
         XF = rng.uniform(-1.5, 1.5, (spec.dim, B))
@@ -328,9 +329,10 @@ class TestBatch:
         for values in (batch.history, batch.action, batch.p_f, batch.p_i):
             assert np.isnan(values).all()
 
-    def test_failures_stay_with_their_member(self):
+    def test_failures_stay_with_their_member(self, monkeypatch):
         # sqrt(x1) raises for x1 < 0 and turns the line search back near 0;
         # this 36-pair batch (two chunks) meets every error type
+        monkeypatch.setattr(classical, "CHUNK_ELEMENTS", 2048)
         spec = sysdsl.parse(json.dumps({
             "name": "root", "dim": 1,
             "lagrangian": "0.5*v1^2 - 3*x1^2 + sqrt(x1)",
@@ -354,6 +356,27 @@ class TestBatch:
             np.testing.assert_allclose(batch.p_f[:, b], sol.p_f, rtol=1e-12, atol=0)
             np.testing.assert_allclose(batch.p_i[:, b], sol.p_i, rtol=1e-12, atol=0)
         assert seen == {DomainError, NoConvergence, SingularHessian}
+
+    @pytest.mark.parametrize("system", ["pendulum", "coupled"])
+    def test_chunk_size_does_not_change_results(self, system, request, rng,
+                                                monkeypatch):
+        spec = unit_mass_system("0.5*x1^2 + 0.8*x2^2 + 0.3*x1*x2 + 0.1*x1^2*x2^2", 2) \
+            if system == "coupled" else request.getfixturevalue(f"{system}_spec")
+        grid = TimeGrid(0.0, 1.2, 200)
+        # several chunks at either size, and a failing last member
+        B = 2 * classical.CHUNK_ELEMENTS // (grid.N + 1) + 3
+        XF = rng.uniform(-1.5, 1.5, (spec.dim, B))
+        XI = rng.uniform(-1.5, 1.5, (spec.dim, B))
+        XF[:, -1] = np.nan
+        runs = []
+        for size in (2048, classical.CHUNK_ELEMENTS):
+            monkeypatch.setattr(classical, "CHUNK_ELEMENTS", size)
+            runs.append(solve_classical_batch(spec, XF, XI, grid))
+        small, large = runs
+        for name in ("history", "action", "p_f", "p_i", "iterations"):
+            np.testing.assert_array_equal(getattr(small, name), getattr(large, name))
+        assert [repr(e) for e in small.errors] == [repr(e) for e in large.errors]
+        assert small.errors[-1] is not None
 
     def test_shape_validation(self, free_spec):
         with pytest.raises(ValueError):

@@ -79,6 +79,17 @@ class TestClassical:
             ((1 + 1) * math.cos(1.0) - 2) / (2 * math.sin(1.0)), abs=1e-3)
         assert records[-1]["error"]["type"] == "SingularHessian"
 
+    @pytest.mark.parametrize("scan", ["1:2:0", "abc", "1:2:-3"])
+    def test_malformed_scan_is_usage_error(self, tmp_path, capsys, scan):
+        code, report, _ = run(tmp_path, "classical", "--spec", FREE,
+                              "--xi", "0", "--xf", "1", "--tf", "1",
+                              f"--scan={scan}")
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "--scan" in err[0] and "start:stop:count" in err[0]
+
     def test_determinism_byte_identical(self, tmp_path):
         argv = ["classical", "--spec", OSC, "--xi", "0.2", "--xf", "0.9",
                 "--tf", "1.1", "--slices", "80", "--seed", "3"]
@@ -225,6 +236,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "--window" in err
         assert len(err.splitlines()) == 1
+
+    # x1^2 vanishes at the ring point x = 0; adding 1e-305 keeps the
+    # inverse finite but leaves a determinant below the volume element's floor
+    @pytest.mark.parametrize("metric, error", [
+        ("x1^2", "SingularMetric"),
+        ("x1^2 + 1e-305", "Degenerate"),
+    ])
+    def test_metric_defect_exits_1(self, tmp_path, capsys, metric, error):
+        spec = tmp_path / "bad_metric.json"
+        spec.write_text(json.dumps({
+            "name": "bad_metric", "dim": 1,
+            "lagrangian": f"0.5*({metric})*v1^2", "metric": [[metric]],
+            "parameters": {}, "domain": [{"min": -3, "max": 3}]}))
+        code = main(["propagator", "--spec", str(spec), "--T", "0.5",
+                     "--grid", "16", "--slices", "4"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"bmech: {error}:")
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):

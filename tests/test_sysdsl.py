@@ -203,6 +203,87 @@ class TestDerivatives:
         assert g[1] == pytest.approx(8.0 * np.log(2.0), rel=1e-12)  # x^p ln x
 
 
+PARAMS = {"m": 1.5, "k": 3.0}
+
+
+def fd_derivs(e, x, v, step=1e-4):
+    """Central-difference gradient and Hessian over (x, v) of one point,
+    from plain evaluation."""
+    z0 = np.concatenate([x, v])
+    n, size = len(x), len(z0)
+    eye = np.eye(size) * step
+
+    def f(z):
+        return float(sysdsl.eval_expr(e, x=z[:n], v=z[n:], params=PARAMS))
+
+    g = np.array([(f(z0 + eye[i]) - f(z0 - eye[i])) / (2 * step)
+                  for i in range(size)])
+    h = np.array([[(f(z0 + eye[i] + eye[j]) - f(z0 + eye[i] - eye[j])
+                    - f(z0 - eye[i] + eye[j]) + f(z0 - eye[i] - eye[j]))
+                   / (4 * step * step) for j in range(size)] for i in range(size)])
+    return g, h
+
+
+class TestSparseConstants:
+    """Numbers and parameters carry no derivative arrays; these cases run
+    each shortcut in both argument positions."""
+
+    @pytest.mark.parametrize("text, x, v, grad, hess", [
+        # constant factor on the left, then on the right
+        ("0.5*m*v1^2", 0.4, -1.2, [0.0, -1.8], [[0.0, 0.0], [0.0, 1.5]]),
+        ("v1^2*m", 0.4, -1.2, [0.0, -3.6], [[0.0, 0.0], [0.0, 3.0]]),
+        # quotients with a constant numerator or denominator
+        ("x1/m", 0.8, 0.3, [1 / 1.5, 0.0], [[0.0, 0.0], [0.0, 0.0]]),
+        ("m/x1", 0.8, 0.3, [-1.5 / 0.64, 0.0], [[3.0 / 0.512, 0.0], [0.0, 0.0]]),
+        # functions of a constant, and of a variable with no second derivative
+        ("sin(m)*x1*v1", 0.8, 0.3, [np.sin(1.5) * 0.3, np.sin(1.5) * 0.8],
+         [[0.0, np.sin(1.5)], [np.sin(1.5), 0.0]]),
+        ("abs(x1)*v1", -0.7, 0.3, [-0.3, 0.7], [[0.0, -1.0], [-1.0, 0.0]]),
+        # parameter-only exponents: integer (negative base allowed), then not
+        ("x1^(2*m)", -0.7, 0.3, [3 * 0.49, 0.0], [[-4.2, 0.0], [0.0, 0.0]]),
+        ("v1^k - m", 0.2, -0.5, [0.0, 0.75], [[0.0, 0.0], [0.0, -3.0]]),
+        ("x1^(k/2)", 0.8, 0.3, [1.5 * np.sqrt(0.8), 0.0],
+         [[0.75 / np.sqrt(0.8), 0.0], [0.0, 0.0]]),
+        # constant minus a variable, constant plus a constant
+        ("2 - x1*v1 + (m + k)", 0.8, 0.3, [-0.3, -0.8], [[0.0, -1.0], [-1.0, 0.0]]),
+    ])
+    def test_against_analytic_and_finite_differences(self, text, x, v, grad, hess):
+        e = sysdsl.parse_expr(text, dim=1, params=PARAMS)
+        val, g, h = sysdsl.eval_derivs(e, 1, [x], [v], params=PARAMS)
+        assert val == pytest.approx(sysdsl.eval_expr(e, x=[x], v=[v], params=PARAMS),
+                                    rel=1e-14)
+        assert g == pytest.approx(np.array(grad), rel=1e-12, abs=1e-15)
+        assert h == pytest.approx(np.array(hess), rel=1e-12, abs=1e-15)
+        fd_g, fd_h = fd_derivs(e, np.array([x]), np.array([v]))
+        assert g == pytest.approx(fd_g, rel=1e-6, abs=1e-7)
+        assert h == pytest.approx(fd_h, rel=1e-5, abs=1e-5)
+
+    @pytest.mark.parametrize("batch", [(), (3,), (2, 4)])
+    def test_constant_expression_gets_full_shape_zeros(self, batch):
+        e = sysdsl.parse_expr("m*sin(k) - 2^m/(1 + k)", dim=2, params=PARAMS)
+        x = np.ones((2,) + batch)
+        val, g, h = sysdsl.eval_derivs(e, 2, x, 2 * x, params=PARAMS)
+        expected = 1.5 * np.sin(3.0) - 2**1.5 / 4.0
+        assert np.shape(val) == batch
+        assert np.all(val == pytest.approx(expected, rel=1e-14))
+        assert g.shape == (4,) + batch and not g.any()
+        assert h.shape == (4, 4) + batch and not h.any()
+
+    @pytest.mark.parametrize("t", [0.5, np.array([0.5, 1.5, 2.5])])
+    def test_time_exponent_takes_the_variable_power_rule(self, t):
+        x = np.full((1, 3), 0.8)
+        e = sysdsl.parse_expr("x1^t", dim=1, params={})
+        _, g, h = sysdsl.eval_derivs(e, 1, x, x, t)
+        assert g[0] == pytest.approx(t * 0.8 ** (t - 1), rel=1e-12)
+        assert h[0, 0] == pytest.approx(t * (t - 1) * 0.8 ** (t - 2), rel=1e-12)
+        assert not g[1].any()
+        # an integral time still refuses a negative base, as x1^2 would not
+        with pytest.raises(DomainError, match="variable power of non-positive base"):
+            sysdsl.eval_derivs(e, 1, -x, x, np.round(t) + 2.0)
+        with pytest.raises(DomainError, match="variable power of non-positive base"):
+            sysdsl.eval_derivs(e, 1, [-0.8], [0.8], 2.0)
+
+
 # randomized expression corpus: safe function arguments by construction
 def corpus_expression(rng, depth=3):
     if depth == 0 or rng.random() < 0.3:

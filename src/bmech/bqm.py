@@ -168,14 +168,19 @@ def _filter_matrix(grid):
 
 
 def _inverse_mass(spec, grid):
-    """Constant diagonal inverse metric over the grid, or None if not constant."""
+    """Constant diagonal inverse metric over the grid, or None if not constant.
+
+    Both tests are relative to the largest metric entry on the grid, so a
+    metric's scale does not decide whether it counts as constant.
+    """
     pts = grid.points().T  # (n, size)
     gvals = spec.metric_matrix(pts)  # (n, n, size) or (n, n)
     gvals = np.atleast_3d(gvals)
     g0 = gvals[..., 0]
-    if not np.allclose(gvals, g0[..., None], rtol=1e-12, atol=1e-12):
+    scale = np.max(np.abs(gvals))
+    if not np.allclose(gvals, g0[..., None], rtol=1e-12, atol=1e-12 * scale):
         return None
-    if not np.allclose(g0, np.diag(np.diag(g0)), atol=1e-14):
+    if not np.allclose(g0, np.diag(np.diag(g0)), atol=1e-14 * scale):
         return None
     return np.diag(np.linalg.inv(g0))
 

@@ -9,8 +9,10 @@ a variational integrator.  Its exact gradient with respect to the endpoint
 nodes *is* the discrete boundary momentum, so the generating-function
 identity p_f = +dS/dx_f, p_i = -dS/dx_i holds at the discrete level rather
 than only in the continuum limit.  The second variation is block-tridiagonal
-and each solution factors it once, by a banded LU that Newton, the caustic
-verdict, the boundary Schur complement and the Jacobi solver share.  A
+and each solution factors it once, by an LU that Newton, the caustic
+verdict, the boundary Schur complement and the Jacobi solver share: LAPACK's
+tridiagonal ``dgttrf`` for a scalar system (n = 1), its banded ``dgbtrf``
+for n >= 2.  A
 caustic (conjugate point) is declared when one mode's Gelfand-Yaglom ratio,
 an eigenvalue of J(T) J_free(T)^{-1}, falls below CAUSTIC_TOL in modulus;
 it is reported as SingularHessian.
@@ -25,7 +27,7 @@ keeps its own convergence test, line search, caustic verdict and error.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .errors import NoConvergence, SingularHessian
 
@@ -63,6 +65,9 @@ CHUNK_ELEMENTS = 8192
 # O(tau^2) at the discrete conjugate point near T = pi.  Each mode is judged
 # alone, so the verdict does not depend on the number of degrees of freedom.
 CAUSTIC_TOL = 1e-4
+
+# Identity rows appended to a scalar tridiagonal (see BandFactor).
+PAD_ROWS = 2
 
 
 @dataclass(frozen=True)
@@ -221,11 +226,15 @@ def assemble_tridiag(blocks):
 
 class BandFactor:
     """LU factorization of the interior-node (1..N-1) block tridiagonal built
-    from interval blocks {"D00", "D01", "D11"}, in LAPACK band storage.
+    from interval blocks {"D00", "D01", "D11"}, with partial pivoting.
 
-    With n x n blocks the matrix has kl = ku = 2n - 1 bands; it is factored
-    once by ``dgbtrf`` (partial pivoting) and every ``solve`` is one
-    ``dgbtrs`` call.
+    For a scalar system (n = 1) the matrix is a plain tridiagonal, factored
+    once by ``dgttrf``; every ``solve`` is one ``dgttrs`` call.  Two identity
+    rows are appended after the last unknown, uncoupled from it, because
+    scipy's wrapper of ``dgttrf`` rejects a matrix of fewer than three rows
+    (one interior node at N = 2); ``solve`` drops them again.  With n x n
+    blocks, n >= 2, the matrix has kl = ku = 2n - 1 bands in LAPACK band
+    storage, factored by ``dgbtrf`` and solved by ``dgbtrs``.
 
     Blocks with a leading member axis (B, N, n, n) put the members' matrices
     one after another on the diagonal, with no coupling between them.  The
@@ -244,30 +253,46 @@ class BandFactor:
             diag, off = diag[None], off[None]
         diag, off = diag[:, 1:-1], off[:, 1:-1]  # off couples interior rows k, k+1
         B, K, n = diag.shape[:3]
-        w = 2 * n - 1
-        self.w = w
-        # band storage: entry (i, j) of the matrix sits at ab[2w + i - j, j];
-        # nothing is stored between one member's last row and the next's first
-        ab = np.zeros((3 * w + 1, B * K * n))
-        a, b = np.indices((n, n))
-        node = n * np.arange(B * K).reshape(B, K, 1, 1)
-        ab[2 * w + a - b, node + b] = diag
-        ab[2 * w - n + a - b, node[:, 1:] + b] = off
-        ab[2 * w + n + a - b, node[:, :-1] + b] = np.swapaxes(off, -1, -2)
+        self.rows = B * K * n
+        self.tridiagonal = n == 1
+        if self.tridiagonal:
+            # the diagonal, then the coupling of row r to row r + 1 (the matrix
+            # is symmetric), zero at each member's last row
+            band = np.zeros((2, self.rows + PAD_ROWS))
+            band[0, self.rows:] = 1.0  # the appended identity rows
+            band[0, :self.rows] = diag.ravel()
+            band[1, :self.rows].reshape(B, K)[:, :-1] = off[..., 0, 0]
+            diag_row = 0
+        else:
+            w = 2 * n - 1
+            self.w = w
+            # band storage: entry (i, j) of the matrix sits at band[2w + i - j, j];
+            # nothing is stored between one member's last row and the next's first
+            band = np.zeros((3 * w + 1, self.rows))
+            a, b = np.indices((n, n))
+            node = n * np.arange(B * K).reshape(B, K, 1, 1)
+            band[2 * w + a - b, node + b] = diag
+            band[2 * w - n + a - b, node[:, 1:] + b] = off
+            band[2 * w + n + a - b, node[:, :-1] + b] = np.swapaxes(off, -1, -2)
+            diag_row = 2 * w
         self.errors = [None] * B
         self.singular = np.zeros(B, dtype=bool)
-        if not np.isfinite(ab).all():
+        members = band[:, :self.rows].reshape(len(band), B, K * n)
+        if not np.isfinite(members).all():
             # a member's columns hold only its own entries: make it identity
-            members = ab.reshape(3 * w + 1, B, K * n)
             self.singular = ~np.isfinite(members).all(axis=(0, 2))
             members[:, self.singular] = 0.0
-            members[2 * w, self.singular] = 1.0
+            members[diag_row, self.singular] = 1.0
             for m in np.flatnonzero(self.singular):
                 self.errors[m] = SingularHessian(
                     "interior second variation has non-finite entries")
-        self.lu, self.piv, info = dgbtrf(ab, w, w, overwrite_ab=True)
+        if self.tridiagonal:
+            *self.lu, info = dgttrf(band[1, :-1], band[0], band[1, :-1])
+            pivots = self.lu[1][:self.rows]  # diagonal of U
+        else:
+            self.lu, self.piv, info = dgbtrf(band, w, w, overwrite_ab=True)
+            pivots = self.lu[2 * w]
         if info > 0:
-            pivots = self.lu[2 * w]  # diagonal of U
             zero = pivots == 0.0
             pivots[zero] = 1.0  # keeps every other member's solution finite
             zero = zero.reshape(B, K * n)
@@ -289,8 +314,13 @@ class BandFactor:
         """
         rhs = np.asarray(rhs, dtype=float)
         if np.isfinite(rhs).all():
-            x, _ = dgbtrs(self.lu, self.w, self.w,
-                          rhs.reshape(self.lu.shape[1], -1), self.piv)
+            b = rhs.reshape(self.rows, -1)
+            if self.tridiagonal:
+                padded = np.zeros((self.rows + PAD_ROWS, b.shape[1]), order="F")
+                padded[:self.rows] = b
+                x = dgttrs(*self.lu, padded, overwrite_b=True)[0][:self.rows]
+            else:
+                x, _ = dgbtrs(self.lu, self.w, self.w, b, self.piv)
             return x.reshape(rhs.shape)
         members = rhs.reshape(len(self.errors), -1)
         spoilt = ~_finite_rows(members)
@@ -477,7 +507,7 @@ def _newton(spec, h, grid):
                      * np.abs(state["kin"]).reshape(live.size, -1).max(axis=1)
                      * np.abs(h).reshape(live.size, -1).max(axis=1))
     for iteration in range(MAX_NEWTON_ITER):
-        res = np.array([np.linalg.norm(g) for g in state["grad"]])
+        res = np.linalg.norm(state["grad"].reshape(live.size, -1), axis=1)
         factor = BandFactor(state)
         last = state, factor
         singular = factor.singular

@@ -122,6 +122,17 @@ def _scan_times(text):
     return np.linspace(start, stop, count)
 
 
+def _finite_float(text):
+    """A finite float, or an argparse usage error (times and gamma)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _scan_arg(text):
     """Validate --scan while parsing; the text itself stays the report's echo."""
     _scan_times(text)
@@ -425,8 +436,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--xi", required=True, help="initial point, comma separated")
     p.add_argument("--xf", required=True, help="final point, comma separated")
-    p.add_argument("--ti", type=float, default=0.0)
-    p.add_argument("--tf", type=float, required=True)
+    p.add_argument("--ti", type=_finite_float, default=0.0)
+    p.add_argument("--tf", type=_finite_float, required=True)
     p.add_argument("--slices", type=int, default=200)
     p.add_argument("--scan", default=None, type=_scan_arg,
                    help="scan final times, format start:stop:count")
@@ -439,8 +450,8 @@ def build_parser():
     p.add_argument("--pairs", required=True,
                    help="semicolon list of A~B with A,B = F:<expr> | G:<comps>; "
                         "x1..xn are final-end, x(n+1)..x(2n) initial-end coordinates")
-    p.add_argument("--ti", type=float, default=0.0)
-    p.add_argument("--tf", type=float, default=None,
+    p.add_argument("--ti", type=_finite_float, default=0.0)
+    p.add_argument("--tf", type=_finite_float, default=None,
                    help="enable covariant brackets by solving on [ti, tf]")
     p.add_argument("--slices", type=int, default=800)
     p.add_argument("--sweep", type=int, default=8,
@@ -451,12 +462,12 @@ def build_parser():
                         help="commutator, ordering, and shift diagnostics")
     _add_common(p)
     p.add_argument("--grid", type=int, default=128)
-    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--gamma", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_quantize_check)
 
     p = subs.add_parser("propagator", help="physical-state kernel")
     _add_common(p)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--method", choices=("cn", "trotter"), default="cn")
     p.add_argument("--slices", type=int, default=512)
@@ -465,7 +476,7 @@ def build_parser():
     p = subs.add_parser("semiclassical",
                         help="measure extraction and constraint residuals")
     _add_common(p)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--T", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--method", choices=("cn", "trotter"), default="trotter")
     p.add_argument("--slices", type=int, default=256)

@@ -159,6 +159,27 @@ class TestPhysState:
         with pytest.raises(NonNaturalLagrangian):
             phys_state(curved, 0.2, grid, method="trotter", slices=64)
 
+    def test_tiny_varying_metric_is_not_constant(self):
+        # the metric varies 37-fold over the ring; its scale alone must not
+        # make it pass as a constant mass
+        tiny = sysdsl.parse(
+            '{"name":"tiny","dim":1,"lagrangian":"0.5*1e-14*(1 + x1^2)*v1^2",'
+            '"metric":[["1e-14*(1 + x1^2)"]],'
+            '"parameters":{},"domain":[{"min":-3,"max":3}]}')
+        grid = kernel_grid(tiny, 0.5, 16)
+        assert bqm._inverse_mass(tiny, grid) is None
+        with pytest.raises(NonNaturalLagrangian):
+            phys_state(tiny, 0.5, grid, method="trotter", slices=4)
+
+    @pytest.mark.parametrize("name", ["free_particle", "harmonic_oscillator",
+                                      "pendulum"])
+    def test_bundled_specs_have_constant_inverse_mass(self, name):
+        from bmech.cli import bundled_spec_path
+        spec = sysdsl.load(bundled_spec_path(name))
+        grid = kernel_grid(spec, 0.5, 64)
+        assert np.array_equal(bqm._inverse_mass(spec, grid),
+                              [1.0 / spec.parameters["m"]])
+
     def test_requires_periodic_grid(self, osc):
         grid = Grid.regular(1, 32, -2.0, 2.0, periodic=False)
         with pytest.raises(ValueError):

@@ -108,6 +108,45 @@ class TestGradientHessian:
         assert np.max(np.abs(fd - dense)) / np.max(np.abs(dense)) < 1e-6
 
 
+def dense_interior(blocks):
+    """The interior block tridiagonal of one member as a dense matrix."""
+    diag, off = assemble_tridiag(blocks)
+    K, n = diag.shape[0] - 2, diag.shape[-1]
+    dense = np.zeros((K * n, K * n))
+    for k in range(K):
+        dense[k * n:(k + 1) * n, k * n:(k + 1) * n] = diag[k + 1]
+    for k in range(K - 1):
+        dense[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = off[k + 1]
+        dense[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = off[k + 1].T
+    return dense
+
+
+def check_members_factored_alone(rng, n):
+    """Four stacked members, one exactly singular and one with a NaN block:
+    the others solve exactly as if factored alone, and a non-finite
+    right-hand side spoils only its own member."""
+    N = 9
+    sym = lambda M: M + np.swapaxes(M, -1, -2)  # noqa: E731
+    blocks = {"D00": sym(rng.standard_normal((4, N, n, n))),
+              "D01": rng.standard_normal((4, N, n, n)),
+              "D11": sym(rng.standard_normal((4, N, n, n)))}
+    for block in blocks.values():
+        block[1] = 0.0
+    blocks["D01"][2, 4, 0, n - 1] = np.nan
+    factor = BandFactor(blocks)
+    assert factor.errors[0] is None and factor.errors[3] is None
+    assert "zero pivot" in str(factor.errors[1])
+    assert "non-finite" in str(factor.errors[2])
+    assert list(factor.singular) == [False, True, True, False]
+    rhs = rng.standard_normal((4, N - 1, n))
+    rhs[1, 0, 0] = np.inf
+    x = factor.solve(rhs)
+    assert np.isnan(x[1]).all()
+    for m in (0, 3):
+        alone = BandFactor({k: v[m] for k, v in blocks.items()})
+        assert np.array_equal(x[m], alone.solve(rhs[m]))
+
+
 class TestBandFactor:
     def test_matches_dense_solve(self, rng):
         # random symmetric interval blocks, n = 2: every band of the storage
@@ -116,17 +155,29 @@ class TestBandFactor:
         blocks = {"D00": sym(rng.standard_normal((N, n, n))),
                   "D01": rng.standard_normal((N, n, n)),
                   "D11": sym(rng.standard_normal((N, n, n)))}
-        diag, off = assemble_tridiag(blocks)
         K = N - 1
-        dense = np.zeros((K * n, K * n))
-        for k in range(K):
-            dense[k * n:(k + 1) * n, k * n:(k + 1) * n] = diag[k + 1]
-        for k in range(K - 1):
-            dense[k * n:(k + 1) * n, (k + 1) * n:(k + 2) * n] = off[k + 1]
-            dense[(k + 1) * n:(k + 2) * n, k * n:(k + 1) * n] = off[k + 1].T
+        dense = dense_interior(blocks)
         factor = BandFactor(blocks)
         rhs = rng.standard_normal((K, n, 3))
         expect = np.linalg.solve(dense, rhs.reshape(K * n, 3)).reshape(K, n, 3)
+        assert np.max(np.abs(factor.solve(rhs) - expect)) < 1e-10
+        assert np.max(np.abs(factor.solve(rhs[:, :, 0]) - expect[:, :, 0])) < 1e-10
+
+    def test_scalar_matches_dense_solve(self, rng):
+        # n = 1 with a diagonal small beside the couplings: an indefinite
+        # tridiagonal whose elimination swaps rows
+        N = 13
+        blocks = {"D00": 0.05 * rng.standard_normal((N, 1, 1)),
+                  "D01": rng.standard_normal((N, 1, 1)),
+                  "D11": 0.05 * rng.standard_normal((N, 1, 1))}
+        K = N - 1
+        dense = dense_interior(blocks)
+        assert np.linalg.eigvalsh(dense).min() < 0 < np.linalg.eigvalsh(dense).max()
+        factor = BandFactor(blocks)
+        ipiv = factor.lu[-1][:K]
+        assert (ipiv != np.arange(1, K + 1)).any()  # rows were interchanged
+        rhs = rng.standard_normal((K, 1, 3))
+        expect = np.linalg.solve(dense, rhs.reshape(K, 3)).reshape(K, 1, 3)
         assert np.max(np.abs(factor.solve(rhs) - expect)) < 1e-10
         assert np.max(np.abs(factor.solve(rhs[:, :, 0]) - expect[:, :, 0])) < 1e-10
 
@@ -136,29 +187,21 @@ class TestBandFactor:
             BandFactor({"D00": zero, "D01": zero, "D11": zero})
 
     def test_members_are_factored_alone(self, rng):
-        # four stacked members, one exactly singular and one with a NaN
-        # block: the others solve exactly as if factored alone, and a
-        # non-finite right-hand side spoils only its own member
-        N, n = 9, 2
-        sym = lambda M: M + np.swapaxes(M, -1, -2)  # noqa: E731
-        blocks = {"D00": sym(rng.standard_normal((4, N, n, n))),
-                  "D01": rng.standard_normal((4, N, n, n)),
-                  "D11": sym(rng.standard_normal((4, N, n, n)))}
-        for block in blocks.values():
-            block[1] = 0.0
-        blocks["D01"][2, 4, 0, 1] = np.nan
-        factor = BandFactor(blocks)
-        assert factor.errors[0] is None and factor.errors[3] is None
-        assert "zero pivot" in str(factor.errors[1])
-        assert "non-finite" in str(factor.errors[2])
-        assert list(factor.singular) == [False, True, True, False]
-        rhs = rng.standard_normal((4, N - 1, n))
-        rhs[1, 0, 0] = np.inf
-        x = factor.solve(rhs)
-        assert np.isnan(x[1]).all()
-        for m in (0, 3):
-            alone = BandFactor({k: v[m] for k, v in blocks.items()})
-            assert np.array_equal(x[m], alone.solve(rhs[m]))
+        check_members_factored_alone(rng, 2)
+
+    def test_scalar_members_are_factored_alone(self, rng):
+        check_members_factored_alone(rng, 1)
+
+    def test_one_interior_row(self, rng):
+        # N = 2: one interior unknown per member, alone and stacked
+        blocks = {k: rng.standard_normal((3, 2, 1, 1)) + 2.0
+                  for k in ("D00", "D01", "D11")}
+        rhs = rng.standard_normal((3, 1, 1))
+        x = BandFactor(blocks).solve(rhs)
+        expect = rhs[:, 0, 0] / (blocks["D11"][:, 0, 0, 0] + blocks["D00"][:, 1, 0, 0])
+        assert np.allclose(x[:, 0, 0], expect, rtol=1e-14)
+        alone = BandFactor({k: v[0] for k, v in blocks.items()})
+        assert np.array_equal(alone.solve(rhs[0]), x[0])
 
 
 class TestSolve:
@@ -183,6 +226,18 @@ class TestSolve:
             errs.append(abs(sol.action + 1.0))
         slope = -np.polyfit(np.log([50, 100, 200, 400]), np.log(errs), 1)[0]
         assert 1.8 <= slope <= 2.2
+
+    def test_one_interior_node(self, osc_spec):
+        # N = 2: the interior second variation of a scalar system is 1 x 1
+        T, xf, xi = 1.0, 0.7, -0.2
+        grid = TimeGrid(0.0, T, 2)
+        sol = solve_classical(osc_spec, np.array([xf]), np.array([xi]), grid)
+        tau = grid.tau
+        diag, off = 2 * (1 / tau - tau / 4), -(1 / tau + tau / 4)
+        assert sol.history[1, 0] == pytest.approx(-off * (xf + xi) / diag, rel=1e-13)
+        batch = solve_classical_batch(osc_spec, [[xf, xi]], [[xi, xf]], grid)
+        assert batch.errors == [None, None]
+        assert batch.history[1, 0, 0] == sol.history[1, 0]
 
     def test_conjugate_point_detected(self, osc_spec):
         with pytest.raises(SingularHessian):
@@ -486,10 +541,14 @@ class TestJacobiGreens:
 
         monkeypatch.setattr(classical, "action_gradient_hessian",
                             counted("hessian", classical.action_gradient_hessian))
-        monkeypatch.setattr(classical, "dgbtrf", counted("factor", classical.dgbtrf))
+        # the pendulum's scalar second variation is factored by dgttrf
+        for kernel in ("dgbtrf", "dgttrf"):
+            monkeypatch.setattr(classical, kernel,
+                                counted("factor", getattr(classical, kernel)))
         sol = solve_classical(pendulum_spec, np.array([2.0]), np.array([0.3]),
                               TimeGrid(0.0, 1.5, 150))
         assert sol.iterations == 3
+        assert counts["factor"] >= 1
         # one evaluation at the start, one per accepted Newton step
         assert counts["hessian"] <= sol.iterations + 1
         before = dict(counts)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,23 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "--window" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, option", [
+        (["propagator", "--spec", OSC, "--T", "nan", "--grid", "16"], "--T"),
+        (["classical", "--spec", OSC, "--xi", "0", "--xf", "1", "--tf", "inf"],
+         "--tf"),
+        (["brackets", "--spec", OSC, "--at", "1,-1,1,1", "--pairs", "F:x1~F:x2",
+          "--ti=-inf"], "--ti"),
+        (["quantize-check", "--spec", OSC, "--gamma", "nan"], "--gamma"),
+    ])
+    def test_non_finite_time_is_usage_error(self, capsys, argv, option):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"bmech: usage error: argument {option}:")
+        assert "finite" in err[0]
 
     # x1^2 vanishes at the ring point x = 0; adding 1e-305 keeps the
     # inverse finite but leaves a determinant below the volume element's floor

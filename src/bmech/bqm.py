@@ -30,8 +30,8 @@ from scipy.linalg import circulant
 
 from .classical import TimeGrid, solve_classical_batch
 from .classical import solve_classical  # noqa: F401  (re-exported: callers reach it through bqm)
-from .errors import DimensionMismatch, Instability, NonNaturalLagrangian
-from .quantize import Grid, axis_kron, derivative_matrix, op_K
+from .errors import DimensionMismatch, Instability, NonNaturalLagrangian, SingularMetric
+from .quantize import Grid, axis_kron, check_points, derivative_matrix, op_K
 
 __all__ = [
     "KernelMatrix",
@@ -170,8 +170,10 @@ def _filter_matrix(grid):
 def _inverse_mass(spec, grid):
     """Constant diagonal inverse metric over the grid, or None if not constant.
 
-    Both tests are relative to the largest metric entry on the grid, so a
-    metric's scale does not decide whether it counts as constant.
+    The tests are relative to the largest metric entry on the grid, so a
+    metric's scale does not decide whether it counts as constant, and a
+    constant metric with a diagonal entry that is zero on that scale raises
+    SingularMetric.
     """
     pts = grid.points().T  # (n, size)
     gvals = spec.metric_matrix(pts)  # (n, n, size) or (n, n)
@@ -182,6 +184,8 @@ def _inverse_mass(spec, grid):
         return None
     if not np.allclose(g0, np.diag(np.diag(g0)), atol=1e-14 * scale):
         return None
+    if np.any(np.abs(np.diag(g0)) <= 1e-14 * scale):
+        raise SingularMetric("constant metric has a zero diagonal entry")
     return np.diag(np.linalg.inv(g0))
 
 
@@ -279,6 +283,7 @@ def kernel_grid(spec, T, points, safety=1.15):
     """
     if spec.dim != 1:
         raise DimensionMismatch("kernel_grid sizes one-dimensional rings")
+    check_points(points)
     lo, hi, _ = spec.domain[0]
     w = hi - lo
     c = safety * FILTER_ZERO * np.pi * points * max(T, 1e-6) / 2.0

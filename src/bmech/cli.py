@@ -5,9 +5,15 @@ Exit status: 0 on success, 1 on usage/parse errors, 2 on numerical failures
 (no convergence, caustic, instability).  Reports are deterministic: identical
 inputs and seed give byte-identical JSON.  Verbosity via BMECH_LOG
 (error|info|debug).
+
+In-process calls of ``main(argv)`` share one argument parser, built on the
+first call; ``build_parser()`` returns a fresh one for callers that want
+their own.  argparse reads the streams and the terminal width when it
+prints, so the shared parser writes what a fresh one would.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -130,6 +136,18 @@ def _finite_float(text):
         value = np.nan
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _count(text):
+    """A count of zero or more, or an argparse usage error (--sweep)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a count of at least 0, got {text!r}")
     return value
 
 
@@ -279,6 +297,11 @@ def cmd_quantize_check(args):
     if spec.dim != 1:
         raise DimensionMismatch("quantize-check covers one-dimensional systems")
     lo, hi, _ = spec.domain[0]
+    if args.grid < 16:
+        # the convergence order also needs a grid of half as many points
+        raise ValueError("quantize-check needs --grid 16 or more: it also "
+                         "uses a grid of half as many points, and grids "
+                         "need at least 8 points per axis")
     gamma = args.gamma
     residuals = []
     sizes = [args.grid // 2, args.grid]
@@ -454,7 +477,7 @@ def build_parser():
     p.add_argument("--tf", type=_finite_float, default=None,
                    help="enable covariant brackets by solving on [ti, tf]")
     p.add_argument("--slices", type=int, default=800)
-    p.add_argument("--sweep", type=int, default=8,
+    p.add_argument("--sweep", type=_count, default=8,
                    help="random identity checks (seeded)")
     p.set_defaults(func=cmd_brackets)
 
@@ -491,6 +514,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every ``main`` call uses, built on the first call: seven
+    subparsers cost more than a small solve, and parsing leaves no state."""
+    return build_parser()
+
+
 def _configure_logging():
     """Send the package's log records to the current stderr at the BMECH_LOG
     level, replacing the handler of any earlier call in the process."""
@@ -508,9 +538,8 @@ def _configure_logging():
 
 def main(argv=None):
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # usage errors exit 1; --help and --version exit 0
         return 0 if exc.code == 0 else 1
     try:

@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def check_points(points):
+    """Raise ValueError unless an axis of ``points`` points fits the stencils;
+    callers that divide by the count check it first."""
+    if points < 8:
+        raise ValueError("grids need at least 8 points per axis")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor-product grid; each axis is (M points, spacing h, periodic).
@@ -50,12 +57,13 @@ class Grid:
         if not (len(self.sizes) == len(self.spacings) == len(self.origins)
                 == len(self.periodic)):
             raise ValueError("grid axis descriptions disagree in length")
-        if any(m < 8 for m in self.sizes):
-            raise ValueError("grids need at least 8 points per axis")
+        for m in self.sizes:
+            check_points(m)
 
     @classmethod
     def regular(cls, dim, points, lo, hi, periodic=True):
         """Cube grid: same axis repeated ``dim`` times."""
+        check_points(points)
         if periodic:
             h = (hi - lo) / points
         else:

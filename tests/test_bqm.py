@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from bmech.bqm import (
     phys_state,
     semiclassical_measure,
 )
-from bmech.errors import DimensionMismatch, Instability, NonNaturalLagrangian
+from bmech.errors import (DimensionMismatch, Instability, NonNaturalLagrangian,
+                          SingularMetric)
 from bmech.quantize import Grid, op_F, op_G
 from conftest import STEEP_OSCILLATOR, free_kernel, mehler_kernel
 
@@ -170,6 +173,17 @@ class TestPhysState:
         assert bqm._inverse_mass(tiny, grid) is None
         with pytest.raises(NonNaturalLagrangian):
             phys_state(tiny, 0.5, grid, method="trotter", slices=4)
+
+    def test_relatively_zero_metric_entry_is_singular(self):
+        # a diagonal entry at or below 1e-14 of the metric's scale is zero;
+        # the CLI tests cover a metric that is zero outright
+        spec = sysdsl.parse(json.dumps({
+            "name": "zero", "dim": 2, "lagrangian": "-0.5*x1^2",
+            "metric": [["2", "0"], ["0", "1e-16"]], "parameters": {},
+            "domain": [{"min": -3, "max": 3}] * 2}))
+        grid = Grid.regular(2, 8, -3.0, 3.0)
+        with pytest.raises(SingularMetric):
+            bqm._inverse_mass(spec, grid)
 
     @pytest.mark.parametrize("name", ["free_particle", "harmonic_oscillator",
                                       "pendulum"])

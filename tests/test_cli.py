@@ -3,11 +3,12 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bmech import __version__
+from bmech import __version__, cli
 from bmech.cli import bundled_spec_path, main
 from conftest import STEEP_OSCILLATOR
 
@@ -273,10 +274,126 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"bmech: {error}:")
 
+    @pytest.mark.parametrize("method", ["cn", "trotter"])
+    def test_zero_constant_metric_exits_1(self, tmp_path, capsys, method):
+        spec = tmp_path / "zero_metric.json"
+        spec.write_text(json.dumps({
+            "name": "zero_metric", "dim": 1, "lagrangian": "-0.5*x1^2",
+            "metric": [["0"]], "parameters": {},
+            "domain": [{"min": -3, "max": 3}]}))
+        assert main(["parse", "--spec", str(spec)]) == 0
+        capsys.readouterr()
+        code = main(["propagator", "--spec", str(spec), "--T", "0.5",
+                     "--grid", "16", "--slices", "4", f"--method={method}"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bmech: SingularMetric:")
+
+    @pytest.mark.parametrize("argv", [
+        ["propagator", "--T", "0.5"],
+        ["semiclassical", "--T", "0.5"],
+        ["quantize-check"],
+    ])
+    def test_grid_below_minimum_exits_1(self, capsys, argv):
+        assert main([*argv, "--spec", OSC, "--grid=0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith("grids need at least 8 points per axis")
+
+    @pytest.mark.parametrize("grid", ["0", "15"])
+    def test_quantize_check_grid_names_its_minimum(self, capsys, grid):
+        # the check halves the grid, so it needs 16 points, not 8
+        assert main(["quantize-check", "--spec", OSC, f"--grid={grid}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "needs --grid 16 or more" in err[0]
+        capsys.readouterr()
+        assert main(["quantize-check", "--spec", OSC, "--grid=16"]) == 0
+
+    def test_negative_sweep_is_usage_error(self, tmp_path, capsys):
+        argv = ["brackets", "--spec", OSC, "--at", "1,-1,1,1",
+                "--pairs", "F:x1~F:x2"]
+        code, report, _ = run(tmp_path, *argv, "--sweep=-1")
+        assert code == 1 and report is None
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("bmech: usage error: argument --sweep:")
+        code, report, _ = run(tmp_path, *argv, "--sweep=0")
+        assert code == 0
+        assert report["result"]["fg_identity_sweep_max"] is None
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_0(self, capsys, flag):
         assert main([flag]) == 0
         assert capsys.readouterr().out
+
+
+class TestSharedParser:
+    """In-process calls share one parser; what they write must not differ
+    from calls that each build their own."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def sequence(self, tmp_path, capsys):
+        classical = ["classical", "--spec", OSC, "--xi", "0.2", "--xf", "0.9",
+                     "--tf", "1.1", "--slices", "80"]
+        calls = [
+            ["classical", "--spec", OSC, "--xi", "0", "--xf", "1", "--tf", "nan"],
+            ["--version"],
+            [*classical, "--out", str(tmp_path / "ok.json")],
+            ["classical", "--spec", OSC, "--xi", "1", "--xf", "1",
+             "--tf", repr(math.pi), "--out", str(tmp_path / "caustic.json")],
+            [*classical, "--out", str(tmp_path / "ok.json")],
+        ]
+        seen = []
+        for argv in calls:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            report = Path(argv[-1]).read_bytes() if "--out" in argv else None
+            seen.append((code, out, err, report))
+        return seen
+
+    def test_shared_parser_writes_what_fresh_parsers_write(
+            self, tmp_path, capsys, monkeypatch):
+        shared = self.sequence(tmp_path, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.sequence(tmp_path, capsys)
+        assert [s[0] for s in shared] == [1, 0, 0, 2, 0]
+        for code, _, err, _ in shared:
+            assert len(err.splitlines()) == (0 if code == 0 else 1)
+        assert shared[1][1] == __version__ + "\n"
+        assert shared[2][3] == shared[4][3]
+        assert shared == fresh
+
+    def test_help_wraps_to_columns_at_call_time(self, capsys, monkeypatch):
+        def help_text(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            assert main(["classical", "--help"]) == 0
+            return capsys.readouterr().out
+
+        shared = [help_text(120), help_text(50)]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [help_text(120), help_text(50)]
+        assert shared == fresh
+        assert shared[0] != shared[1]
+        assert max(map(len, shared[1].splitlines())) <= 50
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        main(["--version"])
+        main(["parse", "--spec", OSC, "--out", str(tmp_path / "r.json")])
+        main(["classical", "--spec", OSC])
+        assert len(builds) == 1
 
 
 class TestLogging:

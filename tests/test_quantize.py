@@ -32,6 +32,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid.regular(1, 4, 0.0, 1.0)
 
+    def test_count_checked_before_spacing(self):
+        # an open axis's spacing divides by points - 1
+        with pytest.raises(ValueError, match="at least 8 points"):
+            Grid.regular(1, 1, 0.0, 1.0, periodic=False)
+
     def test_periodic_cell_count(self, ring):
         # periodic coordinate: domain length equals M h
         assert ring.sizes[0] * ring.spacings[0] == pytest.approx(16.0)

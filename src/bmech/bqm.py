@@ -377,10 +377,10 @@ def semiclassical_measure(phys, action_eval, fields=None, window=None):
     mean = np.mean(measure)
     variation = float(np.max(np.abs(measure - mean)) / np.abs(mean))
 
-    # derivatives of K on the full ring, then windowed
+    # derivatives of K at the window's points: rows idx of D K and of K D^T
     D = derivative_matrix(grid, 0)
-    dK_f = (D @ phys.K)[np.ix_(idx, idx)]
-    dK_i = (phys.K @ D.T)[np.ix_(idx, idx)]
+    dK_f = D[idx] @ phys.K[:, idx]
+    dK_i = phys.K[idx] @ D[idx].T
 
     knorm = np.linalg.norm(Kw)
     residuals = {}

@@ -352,8 +352,8 @@ def _caustic_ratios(factor, blocks):
     n = kin.shape[-1]
     free = {"D00": kin, "D01": -kin, "D11": kin}
     free_factor = BandFactor(free)
-    Hfi = _schur_boundary(blocks, factor)[:, n:, :n]
-    Hfi_free = _schur_boundary(free, free_factor)[:, n:, :n]
+    Hfi = _schur_mixed(blocks, factor)
+    Hfi_free = _schur_mixed(free, free_factor)
     bad = free_factor.singular | ~_finite_rows(Hfi + Hfi_free)
     if bad.any():
         Hfi_free[bad], Hfi[bad] = np.eye(n), np.eye(n)
@@ -601,6 +601,18 @@ def hessian_boundary_blocks(spec, sol):
 def _split_boundary(Hb):
     n = Hb.shape[0] // 2
     return {"Hff": Hb[n:, n:], "Hfi": Hb[n:, :n], "Hii": Hb[:n, :n]}
+
+
+def _schur_mixed(blocks, factor):
+    """The mixed block Hfi = d^2 S / dx_f dx_i of ``_schur_boundary``, from
+    the n interior columns of the node-0 coupling alone."""
+    D01 = blocks["D01"]
+    lead, (N, n) = D01.shape[:-3], D01.shape[-3:-1]
+    cols = np.zeros(lead + (N - 1, n, n))
+    cols[..., 0, :, :] = np.swapaxes(D01[..., 0, :, :], -1, -2)
+    Y = factor.solve(cols)
+    # 0 - x, as in Sbb - SbIY, keeps the sign of an exact zero
+    return 0.0 - np.swapaxes(D01[..., -1, :, :], -1, -2) @ Y[..., -1, :, :]
 
 
 def _schur_boundary(blocks, factor):

@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from . import bqm, quantize, symplectic, sysdsl
+from . import bqm, dump, quantize, symplectic, sysdsl
 from .classical import TimeGrid, jacobi_and_greens, solve_classical
 from .errors import (
     BmechError,
@@ -98,7 +98,7 @@ def write_report(args, result, spec_bytes=None):
 
 
 def _write_csv(path, array):
-    np.savetxt(path, np.asarray(array), delimiter=",", fmt="%.17g")
+    dump.write_csv(path, array)
     log.info("field dump written to %s", path)
 
 
@@ -151,10 +151,26 @@ def _count(text):
     return value
 
 
-def _scan_arg(text):
-    """Validate --scan while parsing; the text itself stays the report's echo."""
-    _scan_times(text)
-    return text
+def _window_bounds(text):
+    """(min, max) of a ``--window min,max`` value: two finite numbers with
+    min < max, or an argparse usage error."""
+    try:
+        bounds = _floats(text)
+    except ValueError:
+        bounds = np.array([])
+    if bounds.shape != (2,) or not np.isfinite(bounds).all() or not bounds[0] < bounds[1]:
+        raise argparse.ArgumentTypeError(
+            f"expected min,max with finite min < max, got {text!r}")
+    return bounds
+
+
+def _echoed(parse):
+    """An argparse type that validates with ``parse`` while parsing and keeps
+    the text itself, which the report echoes."""
+    def check(text):
+        parse(text)
+        return text
+    return check
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +399,7 @@ def cmd_semiclassical(args):
     phys = bqm.phys_state(spec, args.T, grid, method=method,
                           slices=args.slices)
     if args.window:
-        lo, hi = _floats(args.window)
+        lo, hi = _window_bounds(args.window)
     else:
         lo, hi, _ = spec.domain[0]
     action_eval = bqm.make_action_evaluator(spec, args.T, N=args.classical_slices)
@@ -462,7 +478,7 @@ def build_parser():
     p.add_argument("--ti", type=_finite_float, default=0.0)
     p.add_argument("--tf", type=_finite_float, required=True)
     p.add_argument("--slices", type=int, default=200)
-    p.add_argument("--scan", default=None, type=_scan_arg,
+    p.add_argument("--scan", default=None, type=_echoed(_scan_times),
                    help="scan final times, format start:stop:count")
     p.set_defaults(func=cmd_classical)
 
@@ -504,7 +520,8 @@ def build_parser():
     p.add_argument("--method", choices=("cn", "trotter"), default="trotter")
     p.add_argument("--slices", type=int, default=256)
     p.add_argument("--classical-slices", type=int, default=200)
-    p.add_argument("--window", default=None, help="window min,max")
+    p.add_argument("--window", default=None, type=_echoed(_window_bounds),
+                   help="window min,max")
     p.set_defaults(func=cmd_semiclassical)
 
     p = subs.add_parser("report", help="aggregate prior reports")

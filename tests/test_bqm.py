@@ -15,7 +15,7 @@ from bmech.bqm import (
 )
 from bmech.errors import (DimensionMismatch, Instability, NonNaturalLagrangian,
                           SingularMetric)
-from bmech.quantize import Grid, op_F, op_G
+from bmech.quantize import Grid, derivative_matrix, op_F, op_G
 from conftest import STEEP_OSCILLATOR, free_kernel, mehler_kernel
 
 M_SMALL = 128
@@ -324,6 +324,19 @@ class TestSemiclassical:
             fields={"dilation": lambda XF, XI: (XF.copy(), XI.copy())},
             window=(-1.5, 1.5))
         assert rep.residuals["dilation"] > 0.1
+
+    def test_window_derivatives_match_full_ring_products(self, osc_kernel, osc):
+        # the const field's residual is i (dK_f + dK_i) + (p_f - p_i) K
+        ph, grid, T = osc_kernel
+        action = make_action_evaluator(osc, T, N=200)
+        rep = semiclassical_measure(ph, action, window=(-1.5, 1.5))
+        idx = np.ix_(rep.window_index, rep.window_index)
+        D = derivative_matrix(grid, 0)
+        dK = (D @ ph.K)[idx] + (ph.K @ D.T)[idx]
+        XF, XI = np.meshgrid(rep.window_points, rep.window_points, indexing="ij")
+        _, PF, PI = action(XF, XI)
+        expected = 1j * dK + (PF - PI) * ph.K[idx]
+        assert np.array_equal(rep.residual_fields["const"], expected)
 
     def test_needs_scalar_system(self, osc_kernel):
         ph, grid, T = osc_kernel

@@ -275,6 +275,25 @@ class TestSolve:
             solve_classical(spec, x, x, TimeGrid(0.0, np.pi, 200))
         assert solve_classical(spec, x, x, TimeGrid(0.0, 3.0, 200)).converged
 
+    @pytest.mark.parametrize("system", ["pendulum", "oscillator", "coupled"])
+    def test_caustic_mixed_block_is_the_schur_block(self, system, pendulum_spec,
+                                                    osc_spec, rng):
+        # the caustic check solves only the node-0 coupling's columns; its
+        # Hfi must be the full boundary Schur complement's, bit for bit
+        spec, T = {"pendulum": (pendulum_spec, 0.785), "oscillator": (osc_spec, 2.0),
+                   "coupled": (unit_mass_system("0.5*x1^2 + 0.8*x2^2 + 0.3*x1*x2"
+                                                " + 0.1*x1^4", 2), 1.3)}[system]
+        n, grid = spec.dim, TimeGrid(0.0, T, 200)
+        h = straight_line_history(rng.uniform(-1, 1, (40, n)),
+                                  rng.uniform(-1, 1, (40, n)), grid)
+        _, _, blocks = action_gradient_hessian(spec, h, grid)
+        kin = blocks["kin"]
+        for b in (blocks, {"D00": kin, "D01": -kin, "D11": kin}):
+            factor = BandFactor(b)
+            full = classical._schur_boundary(b, factor)[:, n:, :n]
+            mixed = classical._schur_mixed(b, factor)
+            assert np.array_equal(full.view(np.int64), mixed.view(np.int64))
+
     def test_tiny_time_step_converges(self, osc_spec):
         # tau = 2.5e-9: the gradient's rounding, eps |C/tau| |h| sqrt(N), is
         # about 3e-6, above the absolute tolerance RESIDUAL_TOL n N = 4e-7

@@ -239,6 +239,18 @@ class TestUsageErrors:
         assert "--window" in err
         assert len(err.splitlines()) == 1
 
+    # before: -inf,inf wrote "Infinity" into the report (not JSON), 1 a
+    # ValueError about unpacking and abc,2 the float conversion's message
+    @pytest.mark.parametrize("window", ["-inf,inf", "1", "abc,2", "2,1",
+                                        "nan,1", "1,2,3"])
+    def test_malformed_window_is_usage_error(self, tmp_path, capsys, window):
+        code, report, _ = run(tmp_path, "semiclassical", "--spec", OSC,
+                              "--T", "0.785", "--grid", "16", f"--window={window}")
+        assert code == 1 and report is None
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"bmech: usage error: argument --window: expected min,max "
+                       f"with finite min < max, got {window!r}"]
+
     @pytest.mark.parametrize("argv, option", [
         (["propagator", "--spec", OSC, "--T", "nan", "--grid", "16"], "--T"),
         (["classical", "--spec", OSC, "--xi", "0", "--xf", "1", "--tf", "inf"],

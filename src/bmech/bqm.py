@@ -26,7 +26,6 @@ boundary pairs from one batched two-point solve (``make_action_evaluator``).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant
 
 from .classical import TimeGrid, solve_classical_batch
 from .classical import solve_classical  # noqa: F401  (re-exported: callers reach it through bqm)
@@ -62,11 +61,6 @@ class KernelMatrix:
     grid: Grid
     T: float
     gamma: float = 0.0
-
-    @property
-    def weights(self):
-        w = 0.5 - 1j * self.gamma
-        return (w, w)
 
 
 @dataclass
@@ -151,7 +145,11 @@ def _wavenumbers(grid, k):
 
 
 def _circulant_from_symbol(sym):
-    return circulant(np.fft.ifft(sym))
+    """Circulant matrix whose first column is c = ifft(sym): entry (i, j) is
+    c[(i - j) mod n], copied from a strided view of c reversed and wrapped."""
+    c = np.fft.ifft(sym)
+    wrapped = np.concatenate((c[::-1], c[:0:-1]))  # wrapped[k] = c[(n - 1 - k) mod n]
+    return np.lib.stride_tricks.sliding_window_view(wrapped, c.size)[::-1].copy()
 
 
 def _band_filter_symbol(grid, k, flat=FILTER_FLAT, zero=FILTER_ZERO):

@@ -27,7 +27,6 @@ keeps its own convergence test, line search, caustic verdict and error.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .errors import NoConvergence, SingularHessian
 
@@ -286,6 +285,8 @@ class BandFactor:
             for m in np.flatnonzero(self.singular):
                 self.errors[m] = SingularHessian(
                     "interior second variation has non-finite entries")
+        from scipy.linalg.lapack import dgbtrf, dgttrf
+
         if self.tridiagonal:
             *self.lu, info = dgttrf(band[1, :-1], band[0], band[1, :-1])
             pivots = self.lu[1][:self.rows]  # diagonal of U
@@ -312,6 +313,8 @@ class BandFactor:
         with zeros, since elimination would carry its entries into the
         neighbouring members (0 * inf is NaN).
         """
+        from scipy.linalg.lapack import dgbtrs, dgttrs
+
         rhs = np.asarray(rhs, dtype=float)
         if np.isfinite(rhs).all():
             b = rhs.reshape(self.rows, -1)

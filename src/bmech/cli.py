@@ -109,7 +109,13 @@ def _load_spec(args):
 
 
 def _floats(text):
-    return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+    """The numbers of a comma list, or an argparse usage error if any field
+    is empty or not a number (``--xi``, ``--xf``, ``--at``, ``--window``)."""
+    try:
+        return np.array([float(tok) for tok in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers with no empty field, got {text!r}") from None
 
 
 def _scan_times(text):
@@ -156,7 +162,7 @@ def _window_bounds(text):
     min < max, or an argparse usage error."""
     try:
         bounds = _floats(text)
-    except ValueError:
+    except argparse.ArgumentTypeError:
         bounds = np.array([])
     if bounds.shape != (2,) or not np.isfinite(bounds).all() or not bounds[0] < bounds[1]:
         raise argparse.ArgumentTypeError(
@@ -473,8 +479,10 @@ def build_parser():
 
     p = subs.add_parser("classical", help="solve a two-point boundary problem")
     _add_common(p)
-    p.add_argument("--xi", required=True, help="initial point, comma separated")
-    p.add_argument("--xf", required=True, help="final point, comma separated")
+    p.add_argument("--xi", required=True, type=_echoed(_floats),
+                   help="initial point, comma separated")
+    p.add_argument("--xf", required=True, type=_echoed(_floats),
+                   help="final point, comma separated")
     p.add_argument("--ti", type=_finite_float, default=0.0)
     p.add_argument("--tf", type=_finite_float, required=True)
     p.add_argument("--slices", type=int, default=200)
@@ -484,7 +492,7 @@ def build_parser():
 
     p = subs.add_parser("brackets", help="Poisson bracket table at a point")
     _add_common(p)
-    p.add_argument("--at", required=True,
+    p.add_argument("--at", required=True, type=_echoed(_floats),
                    help="boundary phase point: 4n numbers x_f,p_f,x_i,p_i")
     p.add_argument("--pairs", required=True,
                    help="semicolon list of A~B with A,B = F:<expr> | G:<comps>; "

@@ -16,7 +16,6 @@ operator plus a curvature counterterm xi * R.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, SingularMetric, WeightMismatch
 from .geometry import christoffel_curvature, volume_element_metric
@@ -122,10 +121,6 @@ class DensityField:
                 f"{self.values.shape[0]} values on a grid of size {self.grid.size}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("density field has non-finite entries")
-
-    @classmethod
-    def from_function(cls, fn, grid, weight):
-        return cls(grid.sample(fn), weight, grid)
 
     def conjugate(self):
         return DensityField(np.conjugate(self.values),
@@ -326,6 +321,8 @@ def shift_operator(a, eps, grid, gamma=0.0):
                     mats.append(np.roll(np.eye(m), int(round(s)) % m, axis=0))
                 return GridOperator(axis_kron(mats).astype(complex), grid,
                                     in_weight=w, out_weight=w)
+    from scipy.linalg import expm
+
     gen = op_G(a, grid, gamma)
     return GridOperator(expm(-1j * eps * gen.matrix), grid,
                         in_weight=w, out_weight=w)

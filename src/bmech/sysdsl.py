@@ -569,10 +569,15 @@ class SystemSpec:
         return np.array(rows)
 
     def potential_value(self, x):
+        """Evaluate the potential at x (batch-broadcast), zero if none is
+        declared; a constant potential fills the batch shape too."""
+        x = np.asarray(x, dtype=float)
         if self.potential is None:
-            x = np.asarray(x, dtype=float)
             return np.zeros(x.shape[1:]) if x.ndim > 1 else 0.0
-        return eval_expr(self.potential, x, None, 0.0, self.parameters)
+        value = eval_expr(self.potential, x, None, 0.0, self.parameters)
+        if x.ndim > 1:
+            return np.broadcast_to(value, x.shape[1:]).astype(float)
+        return float(value)
 
     def contains(self, x):
         """Whether a point lies inside the declared domain box."""

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import circulant
 
 from bmech import bqm, sysdsl
 from bmech.bqm import (
@@ -142,6 +143,26 @@ class TestPhysState:
         comp = half.K @ (grid.cell_volume * half.K)
         x = grid.axis_points(0)
         assert windowed_error(comp, full.K, x, 2.0) < 1e-3
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_circulant_entries_follow_the_definition(self, rng, n):
+        sym = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = np.fft.ifft(sym)
+        C = bqm._circulant_from_symbol(sym)
+        i, j = np.indices((n, n))
+        assert np.array_equal(C, c[(i - j) % n])
+        assert np.array_equal(C, circulant(c))
+
+    # a constant potential evaluates to one number, not one per grid point
+    @pytest.mark.parametrize("method", ["cranknicolson", "trotter"])
+    def test_constant_zero_potential_is_the_free_particle(self, free, method):
+        doc = {"name": "free_zero", "dim": 1, "lagrangian": "0.5*m*v1^2",
+               "metric": [["m"]], "potential": "0", "parameters": {"m": 1.0},
+               "domain": [{"min": -3.0, "max": 3.0}]}
+        spec = sysdsl.parse(json.dumps(doc))
+        grid = kernel_grid(free, 0.5, 32)
+        K = phys_state(spec, 0.5, grid, method=method, slices=16).K
+        assert np.array_equal(K, phys_state(free, 0.5, grid, method=method, slices=16).K)
 
     def test_requires_natural_lagrangian(self):
         spec = sysdsl.parse('{"name":"odd","dim":1,"lagrangian":"v1^4",'

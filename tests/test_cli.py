@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -251,6 +253,24 @@ class TestUsageErrors:
         assert err == [f"bmech: usage error: argument --window: expected min,max "
                        f"with finite min < max, got {window!r}"]
 
+    # before: empty fields were dropped, so each call ran on the remaining
+    # numbers (x_i = [1]; the point 1,-1,1,1; the window -2,2) and exited 0
+    @pytest.mark.parametrize("argv, option, text", [
+        (["classical", "--spec", OSC, "--xi", "1,,", "--xf", "1", "--tf", "1"],
+         "--xi", "1,,"),
+        (["brackets", "--spec", OSC, "--at", "1,-1,,1,1", "--pairs", "F:x1~F:x2"],
+         "--at", "1,-1,,1,1"),
+        (["semiclassical", "--spec", OSC, "--T", "0.785", "--grid", "16",
+          "--window=-2,,2"], "--window", "-2,,2"),
+    ])
+    def test_empty_comma_field_is_usage_error(self, tmp_path, capsys, argv, option, text):
+        code, report, _ = run(tmp_path, *argv)
+        assert code == 1 and report is None
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"bmech: usage error: argument {option}:")
+        assert err[0].endswith(repr(text))
+
     @pytest.mark.parametrize("argv, option", [
         (["propagator", "--spec", OSC, "--T", "nan", "--grid", "16"], "--T"),
         (["classical", "--spec", OSC, "--xi", "0", "--xf", "1", "--tf", "inf"],
@@ -446,3 +466,34 @@ class TestReportAggregation:
         assert len(merged["result"]["reports"]) == 2
         names = {r["result"]["name"] for r in merged["result"]["reports"]}
         assert names == {"harmonic_oscillator", "free_particle"}
+
+
+# Calls in a fresh interpreter: the SciPy modules loaded after the calls
+# that need none, then after a classical solve, which factors with LAPACK
+FRESH_CALLS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from bmech.cli import bundled_spec_path, main
+osc, out = bundled_spec_path("harmonic_oscillator"), sys.argv[2]
+kernel = ["propagator", "--spec", osc, "--T", "0.5", "--grid", "32", "--slices", "8"]
+calls = [["parse", "--spec", osc], [*kernel, "--method", "cn"],
+         [*kernel, "--method", "trotter"], ["quantize-check", "--spec", osc, "--grid", "16"]]
+codes = [main([*argv, "--out", out]) for argv in calls]
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+code = main(["classical", "--spec", osc, "--xi", "0.2", "--xf", "0.9", "--tf", "1",
+             "--out", out])
+print(json.dumps({"codes": codes, "scipy": scipy, "classical": code,
+                  "lapack": "scipy.linalg.lapack" in sys.modules}))
+"""
+
+
+class TestStartup:
+    def test_only_second_variations_load_scipy(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", FRESH_CALLS, src,
+                               str(tmp_path / "report.json")],
+                              capture_output=True, text=True, check=True)
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen["codes"] == [0, 0, 0, 0]
+        assert seen["scipy"] == []
+        assert seen["classical"] == 0 and seen["lapack"]

@@ -5,18 +5,23 @@ The kernel K(x_f, x_i; T) is computed on a periodic ring large enough that
 wrap-around images of the filtered momentum band cannot re-enter the physical
 window within time T (the ring margin plays the role of an absorbing pad;
 with exact band dynamics the suppression is exact rather than approximate).
-The kinetic factor uses the exact band symbol k^2/(2m) on the grid modes:
-local difference stencils disperse near the Nyquist edge far too strongly to
-meet kernel-level tolerances, while the band-exact symbol has no stuck modes.
+Kinetic terms use band-exact (spectral) derivatives on the grid modes: local
+difference stencils disperse near the Nyquist edge far too strongly to meet
+kernel-level tolerances, while the band-exact symbol has no stuck modes.
 Initial columns (discrete deltas) are low-passed by a raised-cosine filter
 that is flat across the physically occupied band; at T = 0 no evolution
 happens and the kernel is the exact discrete delta.
 
-Two independent one-slice steps are provided and cross-checked by the tests:
-the Crank-Nicolson (Cayley) step of the Hamiltonian, and the short-time
-kernel exp(i tau L_mid) in its band-exact (periodized) form.  Either step is
-raised to the power ``slices`` once, by repeated squaring, and the power is
-applied to the filtered deltas and to the norm watchdog's probe.
+Two independent constructions are provided and cross-checked by the tests.
+Crank-Nicolson takes the Cayley step of the real symmetric half-density
+Hamiltonian H = 1/2 sum_ab (D_a W)^T A_ab (D_b W) + V, with W = |g|^(-1/4),
+A = |g|^(1/2) g^(-1) and D_a the band-exact derivative with its Nyquist mode
+zeroed (DeWitt's ordering, exact for point transformations), so it accepts
+any positive-definite metric; one ``eigh`` of H gives the power of the step
+for all slices at once.  Trotter takes the short-time kernel
+exp(i tau L_mid) in its band-exact (periodized) form, needs a constant
+metric, and is raised to the power ``slices`` by repeated squaring.  The
+power is applied to the filtered deltas and to the norm watchdog's probe.
 
 The semiclassical diagnostics factor the kernel on a window as K = a e^{iS}.
 The classical action S and the boundary momenta come over whole arrays of
@@ -30,7 +35,7 @@ import numpy as np
 from .classical import TimeGrid, solve_classical_batch
 from .classical import solve_classical  # noqa: F401  (re-exported: callers reach it through bqm)
 from .errors import DimensionMismatch, Instability, NonNaturalLagrangian, SingularMetric
-from .quantize import Grid, axis_kron, check_points, derivative_matrix, op_K
+from .quantize import Grid, axis_kron, check_points, derivative_matrix
 
 __all__ = [
     "KernelMatrix",
@@ -47,6 +52,7 @@ __all__ = [
 FILTER_FLAT = 0.4   # passband edge, fraction of the Nyquist wavenumber
 FILTER_ZERO = 0.75  # cutoff, fraction of the Nyquist wavenumber
 DRIFT_LIMIT = 0.01
+RING_SAFETY = 1.15  # margin factor on the ring's outrun length
 
 
 @dataclass
@@ -54,13 +60,12 @@ class KernelMatrix:
     """Propagator kernel K[x_f, x_i] over the product of two copies of a grid.
 
     Stores the bra components (phys|pos:(x_f, x_i)); each argument carries the
-    position-base density weight 1/2 - i gamma.
+    position-base density weight 1/2.
     """
 
     K: np.ndarray
     grid: Grid
     T: float
-    gamma: float = 0.0
 
 
 @dataclass
@@ -152,10 +157,10 @@ def _circulant_from_symbol(sym):
     return np.lib.stride_tricks.sliding_window_view(wrapped, c.size)[::-1].copy()
 
 
-def _band_filter_symbol(grid, k, flat=FILTER_FLAT, zero=FILTER_ZERO):
+def _band_filter_symbol(grid, k):
     kn = np.pi / grid.spacings[k]
     ak = np.abs(_wavenumbers(grid, k))
-    t = (ak - flat * kn) / ((zero - flat) * kn)
+    t = (ak - FILTER_FLAT * kn) / ((FILTER_ZERO - FILTER_FLAT) * kn)
     return np.where(t <= 0, 1.0, np.where(t >= 1, 0.0,
                     np.cos(0.5 * np.pi * np.clip(t, 0.0, 1.0)) ** 2))
 
@@ -165,25 +170,43 @@ def _filter_matrix(grid):
                       for k in range(grid.dim)])
 
 
+def _band_derivative(grid, k):
+    """Band-exact d/dx_k over the flattened ring: the real circulant of the
+    symbol i k_j, with the Nyquist mode (which has no odd partner) zeroed."""
+    sym = 1j * _wavenumbers(grid, k)
+    sym[np.fft.fftfreq(grid.sizes[k]) == -0.5] = 0.0
+    return axis_kron([_circulant_from_symbol(sym).real if j == k
+                      else np.eye(grid.sizes[j]) for j in range(grid.dim)])
+
+
+def _metric_on_ring(spec, grid):
+    """The metric at every ring point, shape (size, n, n).
+
+    Raises SingularMetric unless it is finite and positive definite at every
+    point, relative to its largest entry on the ring.
+    """
+    g = np.moveaxis(spec.metric_matrix(grid.points().T), -1, 0)
+    scale = np.max(np.abs(g))
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise SingularMetric("metric is zero or not finite on the ring")
+    if np.min(np.linalg.eigvalsh(g)) <= 1e-14 * scale:
+        raise SingularMetric("metric is not positive definite on the ring")
+    return g
+
+
 def _inverse_mass(spec, grid):
     """Constant diagonal inverse metric over the grid, or None if not constant.
 
     The tests are relative to the largest metric entry on the grid, so a
-    metric's scale does not decide whether it counts as constant, and a
-    constant metric with a diagonal entry that is zero on that scale raises
-    SingularMetric.
+    metric's scale does not decide whether it counts as constant.
     """
-    pts = grid.points().T  # (n, size)
-    gvals = spec.metric_matrix(pts)  # (n, n, size) or (n, n)
-    gvals = np.atleast_3d(gvals)
-    g0 = gvals[..., 0]
+    gvals = _metric_on_ring(spec, grid)
+    g0 = gvals[0]
     scale = np.max(np.abs(gvals))
-    if not np.allclose(gvals, g0[..., None], rtol=1e-12, atol=1e-12 * scale):
+    if not np.allclose(gvals, g0, rtol=1e-12, atol=1e-12 * scale):
         return None
     if not np.allclose(g0, np.diag(np.diag(g0)), atol=1e-14 * scale):
         return None
-    if np.any(np.abs(np.diag(g0)) <= 1e-14 * scale):
-        raise SingularMetric("constant metric has a zero diagonal entry")
     return np.diag(np.linalg.inv(g0))
 
 
@@ -192,48 +215,53 @@ def _potential_on_points(spec, pts):
     return np.asarray(spec.potential_value(pts), dtype=float)
 
 
-def _slice_step(spec, grid, method, tau):
-    """One-slice step matrix of length ``tau`` for either construction."""
+def _hamiltonian(spec, grid):
+    """Real symmetric H = 1/2 sum_ab (D_a W)^T A_ab (D_b W) + V on the ring.
+
+    H acts on half-densities: W = |g|^(-1/4) and A = |g|^(1/2) g^(-1) are
+    diagonal over the ring points and D_a is the band-exact derivative.  For
+    a constant metric the kinetic term is the band symbol g^ab k_a k_b / 2
+    with the Nyquist mode zeroed.
+    """
+    g = _metric_on_ring(spec, grid)
+    det = np.linalg.det(g)
+    A = np.sqrt(det)[:, None, None] * np.linalg.inv(g)
+    DW = [_band_derivative(grid, a) * det ** -0.25 for a in range(grid.dim)]
+    kin = sum(DW[a].T @ (A[:, a, b, None] * DW[b])
+              for a in range(grid.dim) for b in range(grid.dim))
+    return 0.5 * kin + np.diag(_potential_on_points(spec, grid.points().T))
+
+
+def _trotter_step(spec, grid, tau):
+    """Short-time kernel exp(i tau L_mid) of one slice, in periodized
+    (band-exact) form with the free-kernel normalization."""
     inv_mass = _inverse_mass(spec, grid)
+    if inv_mass is None:
+        raise NonNaturalLagrangian(
+            "trotter kernels need a constant metric (position-independent mass)")
     pts = grid.points()
-    if method == "trotter":
-        if inv_mass is None:
-            raise NonNaturalLagrangian(
-                "trotter kernels need a constant metric (position-independent mass)")
-        free = axis_kron([
-            _circulant_from_symbol(np.exp(-0.5j * tau * inv_mass[k]
-                                          * _wavenumbers(grid, k) ** 2))
-            for k in range(grid.dim)])
-        mids = 0.5 * (pts[:, None, :] + pts[None, :, :])  # (size, size, n)
-        vmid = _potential_on_points(spec, np.moveaxis(mids, -1, 0))
-        return free * np.exp(-1j * tau * vmid)
-    if inv_mass is not None:
-        kin = sum(
-            axis_kron([
-                _circulant_from_symbol(0.5 * inv_mass[k] * _wavenumbers(grid, k) ** 2)
-                if j == k else np.eye(grid.sizes[j])
-                for j in range(grid.dim)])
-            for k in range(grid.dim))
-    else:
-        from .geometry import MetricField
-        gfield = MetricField(lambda x: spec.metric_matrix(x), spec.dim)
-        kin = 0.5 * op_K(gfield, grid).matrix
-    H = kin + np.diag(_potential_on_points(spec, pts.T))
-    A = np.eye(grid.size) + 0.5j * tau * H
-    B = np.eye(grid.size) - 0.5j * tau * H
-    return np.linalg.solve(A, B)
+    free = axis_kron([
+        _circulant_from_symbol(np.exp(-0.5j * tau * inv_mass[k]
+                                      * _wavenumbers(grid, k) ** 2))
+        for k in range(grid.dim)])
+    mids = 0.5 * (pts[:, None, :] + pts[None, :, :])  # (size, size, n)
+    vmid = _potential_on_points(spec, np.moveaxis(mids, -1, 0))
+    return free * np.exp(-1j * tau * vmid)
 
 
-def phys_state(spec, T, grid, method="cranknicolson", slices=512, gamma=0.0):
+def phys_state(spec, T, grid, method="cranknicolson", slices=512):
     """Propagator kernel K(x_f, x_i; T) of a natural Lagrangian system.
 
-    method "cranknicolson": Cayley step of H = op_K/2 + V, with the kinetic
-    term in its band-exact form when the metric is constant.
+    method "cranknicolson": Cayley steps of the half-density Hamiltonian of
+    ``_hamiltonian`` (band-exact derivatives, Nyquist mode zeroed), for any
+    positive-definite metric.  H is real symmetric, so one ``eigh`` gives the
+    power of all ``slices`` steps: P = U diag(c^slices) U^T with
+    c(lambda) = (1 - i tau lambda/2) / (1 + i tau lambda/2).
     method "trotter": short-time kernel exp(i tau L_mid) with the free-kernel
-    normalization, in periodized (band-exact) form.
-    Either one-slice step is raised to the power ``slices`` by repeated
-    squaring and applied to the filtered deltas.
-    T = 0 returns the exact discrete delta.
+    normalization in periodized (band-exact) form, for a constant metric; its
+    one-slice step is raised to the power ``slices`` by repeated squaring.
+    The power is applied to the filtered deltas.  T = 0 returns the exact
+    discrete delta.
     """
     if not spec.is_natural:
         raise NonNaturalLagrangian(
@@ -246,11 +274,17 @@ def phys_state(spec, T, grid, method="cranknicolson", slices=512, gamma=0.0):
     vol = grid.cell_volume
     size = grid.size
     if T == 0:
-        return KernelMatrix(np.eye(size, dtype=complex) / vol, grid, 0.0, gamma)
+        return KernelMatrix(np.eye(size, dtype=complex) / vol, grid, 0.0)
     if T < 0:
         raise ValueError("propagation time must be non-negative")
 
-    P = np.linalg.matrix_power(_slice_step(spec, grid, method, T / slices), slices)
+    tau = T / slices
+    if method == "trotter":
+        P = np.linalg.matrix_power(_trotter_step(spec, grid, tau), slices)
+    else:
+        lam, U = np.linalg.eigh(_hamiltonian(spec, grid))
+        c = (1 - 0.5j * tau * lam) / (1 + 0.5j * tau * lam)
+        P = (U * c**slices) @ U.T
     Phi = _filter_matrix(grid)
     K = P @ Phi / vol
     if not np.all(np.isfinite(K)):
@@ -269,13 +303,13 @@ def phys_state(spec, T, grid, method="cranknicolson", slices=512, gamma=0.0):
     drift = abs(np.linalg.norm(P @ probe) / np.linalg.norm(probe) - 1.0)
     if not np.isfinite(drift) or drift > DRIFT_LIMIT:
         raise Instability(f"norm drift {drift:.2%} exceeds {DRIFT_LIMIT:.0%}")
-    return KernelMatrix(K, grid, float(T), gamma)
+    return KernelMatrix(K, grid, float(T))
 
 
-def kernel_grid(spec, T, points, safety=1.15):
+def kernel_grid(spec, T, points):
     """Periodic ring sized so filtered wrap-around cannot re-enter the domain.
 
-    The ring half-length L solves 2L - w >= safety * k_cut * T, where w is
+    The ring half-length L solves 2L - w >= RING_SAFETY * k_cut * T, where w is
     the declared domain width and k_cut the filter cutoff; this is the
     outrun version of an absorbing margin.
     """
@@ -284,7 +318,7 @@ def kernel_grid(spec, T, points, safety=1.15):
     check_points(points)
     lo, hi, _ = spec.domain[0]
     w = hi - lo
-    c = safety * FILTER_ZERO * np.pi * points * max(T, 1e-6) / 2.0
+    c = RING_SAFETY * FILTER_ZERO * np.pi * points * max(T, 1e-6) / 2.0
     L = (w + np.sqrt(w * w + 8.0 * c)) / 4.0
     L = max(L, w)  # never smaller than the declared domain
     centre = 0.5 * (lo + hi)

@@ -592,13 +592,8 @@ def classical_action_derivs(spec, x_f, x_i, grid, init=None):
     Returns (S, dS/dx_f, dS/dx_i, {"Hff", "Hfi", "Hii"}).
     """
     sol = solve_classical(spec, x_f, x_i, grid, init=init)
-    blocks = hessian_boundary_blocks(spec, sol)
+    blocks = _split_boundary(_schur_boundary(sol.blocks, sol.factor))
     return sol.action, sol.p_f.copy(), -sol.p_i, blocks
-
-
-def hessian_boundary_blocks(spec, sol):
-    """Schur complement of the interior nodes: d^2 S / d(boundary)^2."""
-    return _split_boundary(_schur_boundary(sol.blocks, sol.factor))
 
 
 def _split_boundary(Hb):

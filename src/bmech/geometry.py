@@ -128,18 +128,14 @@ class DensityValue:
 def partial_derivative(f, x, h=None):
     """Central-difference gradient of an array-valued field along each coordinate.
 
-    Returns an array of shape f(x).shape + (n,), the last axis being d/dx_k.
+    Returns an array of shape f(x).shape + (n,), the last axis being d/dx_k;
+    complex values keep their imaginary part.
     """
     x = np.asarray(x, dtype=float)
     if h is None:
         h = fd_step(x)
-    f0 = np.asarray(f(x))
-    out = np.empty(f0.shape + (x.shape[0],), dtype=f0.dtype if f0.dtype.kind == "f" else float)
-    for k in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[k] = h
-        out[..., k] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
-    return out
+    return np.stack([(np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
+                     for e in h * np.eye(x.shape[0])], axis=-1)
 
 
 def christoffel(g, x, h=None):
@@ -198,16 +194,12 @@ def lie_derivative_density(a, psi, alpha, x, grad_psi=None, h=None):
     x = np.asarray(x, dtype=float)
     av = np.asarray(a(x), dtype=float)
     psi0 = complex(psi(x))
+    if h is None:
+        h = fd_step(x)
     if grad_psi is not None:
         dpsi = np.asarray(grad_psi(x))
     else:
-        if h is None:
-            h = fd_step(x)
-        dpsi = np.empty(x.shape[0], dtype=complex)
-        for k in range(x.shape[0]):
-            e = np.zeros_like(x)
-            e[k] = h
-            dpsi[k] = (complex(psi(x + e)) - complex(psi(x - e))) / (2 * h)
+        dpsi = partial_derivative(psi, x, h)
     return complex(av @ dpsi + alpha * vector_divergence(a, x, h) * psi0)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Degenerate, OffShell
+from .geometry import partial_derivative
 
 __all__ = [
     "BoundaryPhasePoint",
@@ -146,44 +147,23 @@ class Observable:
     def _grad_q(self, q):
         if self.grad is not None:
             return np.asarray(self.grad(q), dtype=float)
-        out = np.empty(q.shape[0])
-        for m in range(q.shape[0]):
-            e = np.zeros_like(q)
-            e[m] = DIFF_STEP
-            out[m] = (self.fn(q + e) - self.fn(q - e)) / (2 * DIFF_STEP)
-        return out
+        return partial_derivative(self.fn, q, DIFF_STEP)
 
     def _jac_q(self, q):
         if self.jac is not None:
             return np.asarray(self.jac(q), dtype=float)
-        m = q.shape[0]
-        out = np.empty((m, m))
-        for k in range(m):
-            e = np.zeros_like(q)
-            e[k] = DIFF_STEP
-            out[:, k] = (np.asarray(self.fn(q + e), dtype=float)
-                         - np.asarray(self.fn(q - e), dtype=float)) / (2 * DIFF_STEP)
-        return out
+        return partial_derivative(self.fn, q, DIFF_STEP)
 
     def _fd_partials(self, pt):
         if self.grad is not None:
             gxf, gpf, gxi, gpi = self.grad(pt)
             return {"xf": np.asarray(gxf, float), "pf": np.asarray(gpf, float),
                     "xi": np.asarray(gxi, float), "pi": np.asarray(gpi, float)}
-        n = pt.n
-        out = {}
-        for name in ("xf", "pf", "xi", "pi"):
-            attr = {"xf": "x_f", "pf": "p_f", "xi": "x_i", "pi": "p_i"}[name]
-            grad = np.empty(n)
-            base = getattr(pt, attr)
-            for k in range(n):
-                e = np.zeros(n)
-                e[k] = DIFF_STEP
-                up = self.fn(pt.replace(**{attr: base + e}))
-                dn = self.fn(pt.replace(**{attr: base - e}))
-                grad[k] = (up - dn) / (2 * DIFF_STEP)
-            out[name] = grad
-        return out
+        return {name: partial_derivative(
+                    lambda y, attr=attr: self.fn(pt.replace(**{attr: y})),
+                    getattr(pt, attr), DIFF_STEP)
+                for name, attr in (("xf", "x_f"), ("pf", "p_f"),
+                                   ("xi", "x_i"), ("pi", "p_i"))}
 
 
 def lie_bracket(a1, a2, q, jac1=None, jac2=None):
@@ -191,20 +171,11 @@ def lie_bracket(a1, a2, q, jac1=None, jac2=None):
     q = np.asarray(q, dtype=float)
     v1 = np.asarray(a1(q), dtype=float)
     v2 = np.asarray(a2(q), dtype=float)
-    J1 = np.asarray(jac1(q), dtype=float) if jac1 is not None else _fd_jac(a1, q)
-    J2 = np.asarray(jac2(q), dtype=float) if jac2 is not None else _fd_jac(a2, q)
+    J1 = (np.asarray(jac1(q), dtype=float) if jac1 is not None
+          else partial_derivative(a1, q, DIFF_STEP))
+    J2 = (np.asarray(jac2(q), dtype=float) if jac2 is not None
+          else partial_derivative(a2, q, DIFF_STEP))
     return J2 @ v1 - J1 @ v2
-
-
-def _fd_jac(a, q):
-    m = q.shape[0]
-    out = np.empty((m, m))
-    for k in range(m):
-        e = np.zeros(m)
-        e[k] = DIFF_STEP
-        out[:, k] = (np.asarray(a(q + e), dtype=float)
-                     - np.asarray(a(q - e), dtype=float)) / (2 * DIFF_STEP)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,22 +268,12 @@ class PhaseFunction:
     def partial_x(self, x, p):
         if self.grad_x is not None:
             return np.asarray(self.grad_x(x, p), dtype=float)
-        out = np.empty(len(x))
-        for k in range(len(x)):
-            e = np.zeros(len(x))
-            e[k] = DIFF_STEP
-            out[k] = (self.fn(x + e, p) - self.fn(x - e, p)) / (2 * DIFF_STEP)
-        return out
+        return partial_derivative(lambda y: self.fn(y, p), x, DIFF_STEP)
 
     def partial_p(self, x, p):
         if self.grad_p is not None:
             return np.asarray(self.grad_p(x, p), dtype=float)
-        out = np.empty(len(p))
-        for k in range(len(p)):
-            e = np.zeros(len(p))
-            e[k] = DIFF_STEP
-            out[k] = (self.fn(x, p + e) - self.fn(x, p - e)) / (2 * DIFF_STEP)
-        return out
+        return partial_derivative(lambda y: self.fn(x, y), p, DIFF_STEP)
 
 
 def canonical_form(m):

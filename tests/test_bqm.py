@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from scipy.linalg import circulant
+from scipy.special import erf
 
 from bmech import bqm, sysdsl
 from bmech.bqm import (
@@ -46,6 +47,23 @@ def osc_kernel(osc):
     T = np.pi / 4
     grid = kernel_grid(osc, T, M_SMALL)
     return phys_state(osc, T, grid, method="trotter", slices=SLICES_SMALL), grid, T
+
+
+def slice_loop_error(spec, grid, method, T, slices, K):
+    """Relative distance of K from the one-slice step applied ``slices``
+    times to the filtered deltas."""
+    tau = T / slices
+    if method == "trotter":
+        step = bqm._trotter_step(spec, grid, tau)
+    else:
+        H = bqm._hamiltonian(spec, grid)
+        eye = np.eye(grid.size)
+        step = np.linalg.solve(eye + 0.5j * tau * H, eye - 0.5j * tau * H)
+    ref = bqm._filter_matrix(grid).astype(complex)
+    for _ in range(slices):
+        ref = step @ ref
+    ref /= grid.cell_volume
+    return np.linalg.norm(K - ref) / np.linalg.norm(ref)
 
 
 class TestLift:
@@ -171,17 +189,28 @@ class TestPhysState:
         with pytest.raises(NonNaturalLagrangian):
             phys_state(spec, 1.0, grid)
 
-    def test_position_dependent_metric_cn_fallback(self):
-        curved = sysdsl.parse(
-            '{"name":"curved","dim":1,'
-            '"lagrangian":"0.5*(1 + 0.1*x1^2)*v1^2 - 0.5*x1^2",'
-            '"metric":[["1 + 0.1*x1^2"]],"potential":"0.5*x1^2",'
-            '"parameters":{},"domain":[{"min":-2,"max":2}]}')
-        grid = Grid.regular(1, 48, -6.0, 6.0, periodic=True)
-        ph = phys_state(curved, 0.2, grid, method="cranknicolson", slices=64)
-        assert np.all(np.isfinite(ph.K))
+    # point-transformed free particle: y(u) = u + eps (sqrt(pi)/2) erf(u)
+    # gives the metric y'(u)^2, and the half-density kernel is
+    # sqrt(y'(u_f) y'(u_i)) times the free kernel at (y(u_f), y(u_i))
+    @pytest.mark.parametrize("slices", [512, 1024])
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 1.0])
+    def test_position_dependent_metric_point_transform_oracle(self, eps, slices):
+        curved = sysdsl.parse(json.dumps({
+            "name": "curved", "dim": 1,
+            "lagrangian": f"0.5*(1 + {eps}*exp(-x1^2))^2*v1^2",
+            "metric": [[f"(1 + {eps}*exp(-x1^2))^2"]],
+            "parameters": {}, "domain": [{"min": -3.0, "max": 3.0}]}))
+        T = 1.0
+        grid = kernel_grid(curved, T, 256)
+        u = grid.axis_points(0)
+        y = u + eps * 0.5 * np.sqrt(np.pi) * erf(u)
+        dy = 1.0 + eps * np.exp(-u**2)
+        exact = (np.sqrt(np.outer(dy, dy))
+                 * free_kernel(y[:, None], y[None, :], T))
+        ph = phys_state(curved, T, grid, method="cranknicolson", slices=slices)
+        assert windowed_error(ph.K, exact, u, 2.5) <= 1e-3
         with pytest.raises(NonNaturalLagrangian):
-            phys_state(curved, 0.2, grid, method="trotter", slices=64)
+            phys_state(curved, T, grid, method="trotter", slices=slices)
 
     def test_tiny_varying_metric_is_not_constant(self):
         # the metric varies 37-fold over the ring; its scale alone must not
@@ -196,7 +225,7 @@ class TestPhysState:
             phys_state(tiny, 0.5, grid, method="trotter", slices=4)
 
     def test_relatively_zero_metric_entry_is_singular(self):
-        # a diagonal entry at or below 1e-14 of the metric's scale is zero;
+        # a metric eigenvalue at or below 1e-14 of the metric's scale is zero;
         # the CLI tests cover a metric that is zero outright
         spec = sysdsl.parse(json.dumps({
             "name": "zero", "dim": 2, "lagrangian": "-0.5*x1^2",
@@ -205,6 +234,38 @@ class TestPhysState:
         grid = Grid.regular(2, 8, -3.0, 3.0)
         with pytest.raises(SingularMetric):
             bqm._inverse_mass(spec, grid)
+        with pytest.raises(SingularMetric):
+            bqm._hamiltonian(spec, grid)
+
+    @pytest.mark.parametrize("method", ["cranknicolson", "trotter"])
+    def test_metric_overflowing_on_the_ring_is_singular(self, method):
+        spec = sysdsl.parse(json.dumps({
+            "name": "steep_mass", "dim": 1, "lagrangian": "0.5*exp(100*x1^2)*v1^2",
+            "metric": [["exp(100*x1^2)"]], "parameters": {},
+            "domain": [{"min": -3, "max": 3}]}))
+        grid = kernel_grid(spec, 0.5, 16)
+        with np.errstate(over="ignore"), pytest.raises(SingularMetric):
+            phys_state(spec, 0.5, grid, method=method, slices=4)
+
+    def test_constant_metric_hamiltonian_has_plane_wave_eigenvectors(self):
+        # a non-diagonal constant metric: every in-band plane wave is an
+        # eigenvector with eigenvalue k.g^(-1).k / 2 + V
+        g = np.array([[2.0, 0.6], [0.6, 1.0]])
+        spec = sysdsl.parse(json.dumps({
+            "name": "skew", "dim": 2,
+            "lagrangian": "0.5*(2*v1^2 + 1.2*v1*v2 + v2^2) - 0.25",
+            "metric": [["2", "0.6"], ["0.6", "1"]], "potential": "0.25",
+            "parameters": {}, "domain": [{"min": -3, "max": 3}] * 2}))
+        grid = Grid.regular(2, 16, -4.0, 4.0)
+        H = bqm._hamiltonian(spec, grid)
+        assert np.allclose(H, H.T, rtol=0.0, atol=1e-12)
+        pts = grid.points()
+        k0 = 2 * np.pi / 8.0
+        for m in [(0, 0), (1, 0), (0, 3), (-2, 5), (7, -7)]:
+            k = k0 * np.array(m)
+            psi = np.exp(1j * pts @ k)
+            energy = 0.5 * k @ np.linalg.solve(g, k) + 0.25
+            assert np.max(np.abs(H @ psi - energy * psi)) <= 1e-11 * max(energy, 1.0)
 
     @pytest.mark.parametrize("name", ["free_particle", "harmonic_oscillator",
                                       "pendulum"])
@@ -234,16 +295,27 @@ class TestPhysState:
     @pytest.mark.parametrize("slices", [1, 37, 64, 512])
     def test_power_matches_slice_by_slice_loop(self, osc, method, slices):
         # reference: the one-slice step applied ``slices`` times to the
-        # filtered deltas, one matmul per slice
+        # filtered deltas, one matmul per slice; for Crank-Nicolson the step
+        # is the Cayley solve of the Hamiltonian
         T = 0.25
         grid = kernel_grid(osc, T, 64)
-        step = bqm._slice_step(osc, grid, method, T / slices)
-        ref = bqm._filter_matrix(grid).astype(complex)
-        for _ in range(slices):
-            ref = step @ ref
-        ref /= grid.cell_volume
         K = phys_state(osc, T, grid, method=method, slices=slices).K
-        assert np.linalg.norm(K - ref) / np.linalg.norm(ref) <= 1e-12
+        assert slice_loop_error(osc, grid, method, T, slices, K) <= 1e-12
+
+    # two degrees of freedom with a non-diagonal constant metric: every
+    # (a, b) term of the kinetic sum contributes
+    @pytest.mark.parametrize("slices", [1, 37, 512])
+    def test_power_matches_slice_by_slice_loop_2d(self, slices):
+        spec = sysdsl.parse(json.dumps({
+            "name": "skew_osc", "dim": 2,
+            "lagrangian": "0.5*(2*v1^2 + 1.2*v1*v2 + v2^2) - 0.5*(x1^2 + x2^2)",
+            "metric": [["2", "0.6"], ["0.6", "1"]],
+            "potential": "0.5*(x1^2 + x2^2)",
+            "parameters": {}, "domain": [{"min": -2, "max": 2}] * 2}))
+        T = 0.25
+        grid = Grid.regular(2, 16, -4.0, 4.0)
+        K = phys_state(spec, T, grid, method="cranknicolson", slices=slices).K
+        assert slice_loop_error(spec, grid, "cranknicolson", T, slices, K) <= 1e-12
 
     @pytest.mark.parametrize("slices", [0, -4])
     def test_rejects_slices_below_one(self, osc, slices):

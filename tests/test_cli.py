@@ -288,11 +288,11 @@ class TestUsageErrors:
         assert err[0].startswith(f"bmech: usage error: argument {option}:")
         assert "finite" in err[0]
 
-    # x1^2 vanishes at the ring point x = 0; adding 1e-305 keeps the
-    # inverse finite but leaves a determinant below the volume element's floor
+    # x1^2 vanishes at the ring point x = 0; adding 1e-305 keeps it positive
+    # there but far below 1e-14 of its largest value on the ring
     @pytest.mark.parametrize("metric, error", [
         ("x1^2", "SingularMetric"),
-        ("x1^2 + 1e-305", "Degenerate"),
+        ("x1^2 + 1e-305", "SingularMetric"),
     ])
     def test_metric_defect_exits_1(self, tmp_path, capsys, metric, error):
         spec = tmp_path / "bad_metric.json"

@@ -111,7 +111,37 @@ class TestChristoffelCurvature:
             assert np.max(np.abs(nabla)) < 1e-6
 
 
+class TestPartialDerivative:
+    def test_complex_field_keeps_its_imaginary_part(self):
+        # f = (e^{i x0} x1, x0 + 2i x1): df/dx0 = (i e^{i x0} x1, 1),
+        # df/dx1 = (e^{i x0}, 2i)
+        f = lambda x: np.array([np.exp(1j * x[0]) * x[1], x[0] + 2j * x[1]])
+        x0 = np.array([0.3, -1.1])
+        expected = np.array([[1j * np.exp(0.3j) * -1.1, np.exp(0.3j)],
+                             [1.0, 2j]])
+        d = partial_derivative(f, x0)
+        assert d.shape == (2, 2)
+        assert np.max(np.abs(d - expected)) < 1e-9
+
+    def test_matches_one_sided_pairs_bit_for_bit(self):
+        # the stacked form is the plain central difference along each axis
+        f = lambda x: np.array([[np.sin(x[0]) * x[2], x[1] ** 3]])
+        x0 = np.array([0.2, -0.7, 1.9])
+        h = 1e-4
+        d = partial_derivative(f, x0, h)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h
+            assert np.array_equal(d[..., k], (f(x0 + e) - f(x0 - e)) / (2 * h))
+
+
 class TestLieDerivativeDensity:
+    def test_complex_density_gradient(self):
+        # psi = e^{i x}, a = 1, weight 0: L_a psi = i e^{i x}
+        val = lie_derivative_density(lambda x: np.array([1.0]),
+                                     lambda x: np.exp(1j * x[0]), 0.0, [0.4])
+        assert abs(val - 1j * np.exp(0.4j)) < 1e-9
+
     def test_constant_field_constant_density(self):
         val = lie_derivative_density(lambda x: np.array([2.0, -1.0]),
                                      lambda x: 3.0 + 0j, 0.7 + 0.2j,

@@ -26,6 +26,12 @@ power is applied to the filtered deltas and to the norm watchdog's probe.
 The semiclassical diagnostics factor the kernel on a window as K = a e^{iS}.
 The classical action S and the boundary momenta come over whole arrays of
 boundary pairs from one batched two-point solve (``make_action_evaluator``).
+The theory does not tell the initial moment from the final one: when L is
+even in v and has no t (``SystemSpec.is_reversible``, a conservative test
+of the expression tree), S(x_f, x_i) = S(x_i, x_f) and
+p_f(x_f, x_i) = -p_i(x_i, x_f) hold exactly for the midpoint action, so the
+window's square table solves its upper triangle only and mirrors the rest.
+Failures keep their order: the first failed pair in row-major order raises.
 """
 
 from dataclasses import dataclass
@@ -185,7 +191,8 @@ def _metric_on_ring(spec, grid):
     Raises SingularMetric unless it is finite and positive definite at every
     point, relative to its largest entry on the ring.
     """
-    g = np.moveaxis(spec.metric_matrix(grid.points().T), -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below raises
+        g = np.moveaxis(spec.metric_matrix(grid.points().T), -1, 0)
     scale = np.max(np.abs(g))
     if not (np.isfinite(scale) and scale > 0.0):
         raise SingularMetric("metric is zero or not finite on the ring")
@@ -353,25 +360,56 @@ class SemiclassicalReport:
     window_points: np.ndarray
 
 
-def make_action_evaluator(spec, T, N=400):
+def make_action_evaluator(spec, T, N=400, stats=None):
     """Classical data of a scalar system over arrays of boundary pairs.
 
     Returns ``evaluate(XF, XI) -> (S, PF, PI)``: the action and the boundary
     momenta p_f, p_i of every pair (x_f, x_i), as arrays of the shape of XF
     and XI, from one ``solve_classical_batch`` call on an N-interval grid
-    over [0, T].  If any pair fails, the first failed pair in row-major order
-    raises its error (NoConvergence, SingularHessian, DomainError).
+    over [0, T].
+
+    For a reversible spec (``SystemSpec.is_reversible``: L even in v, no t)
+    the midpoint action of the reversed history is the action, so
+    S(x_f, x_i) = S(x_i, x_f) and p_f(x_f, x_i) = -p_i(x_i, x_f).  A square
+    table with XI == XF.T then has only its upper triangle solved (diagonal
+    included, row-major order) and the lower one filled by S[j, i] = S[i, j],
+    PF[j, i] = -PI[i, j], PI[j, i] = -PF[i, j]; any other table or spec is
+    solved in full.  If ``stats`` is a dict, each call adds the number of
+    pairs it solved to ``stats["pairs_solved"]``.
+
+    If any pair fails, the first failed pair in row-major order raises its
+    error (NoConvergence, SingularHessian, DomainError).  A mirrored table
+    raises the first failure of its triangle.  That is the full table's
+    first failure whenever a pair and its partner fail alike, because the
+    partner (j, i) of a lower pair (i, j) comes before it in row-major order;
+    the message may differ from that pair's own in its iteration digits.
     """
     grid = TimeGrid(0.0, T, N)
+    reversible = spec.is_reversible
 
     def evaluate(XF, XI):
         XF, XI = np.broadcast_arrays(np.asarray(XF, float), np.asarray(XI, float))
-        batch = solve_classical_batch(spec, XF.reshape(1, -1), XI.reshape(1, -1), grid)
+        mirror = (reversible and XF.ndim == 2
+                  and XF.shape[0] == XF.shape[1] and np.array_equal(XI, XF.T))
+        if mirror:
+            rows, cols = np.triu_indices(XF.shape[0])
+            xf, xi = XF[rows, cols], XI[rows, cols]
+        else:
+            xf, xi = XF.ravel(), XI.ravel()
+        batch = solve_classical_batch(spec, xf[None], xi[None], grid)
         for error in batch.errors:
             if error is not None:
                 raise error
-        return (batch.action.reshape(XF.shape), batch.p_f.reshape(XF.shape),
-                batch.p_i.reshape(XF.shape))
+        if stats is not None:
+            stats["pairs_solved"] = stats.get("pairs_solved", 0) + xf.size
+        S, pf, pi = batch.action, batch.p_f[0], batch.p_i[0]
+        if not mirror:
+            return S.reshape(XF.shape), pf.reshape(XF.shape), pi.reshape(XF.shape)
+        # the mirror first, so the diagonal keeps its own solved momenta
+        table = np.empty((3,) + XF.shape)
+        table[:, cols, rows] = S, -pi, -pf
+        table[:, rows, cols] = S, pf, pi
+        return table[0], table[1], table[2]
 
     return evaluate
 

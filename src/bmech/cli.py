@@ -157,6 +157,21 @@ def _count(text):
     return value
 
 
+def _quantize_grid(text):
+    """A ``quantize-check --grid`` of 16 points or more, or an argparse usage
+    error: the convergence order also needs a grid of half as many points."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 16:
+        raise argparse.ArgumentTypeError(
+            f"quantize-check needs --grid 16 or more, got {text!r}: it also uses "
+            "a grid of half as many points, and grids need at least 8 points "
+            "per axis")
+    return value
+
+
 def _window_bounds(text):
     """(min, max) of a ``--window min,max`` value: two finite numbers with
     min < max, or an argparse usage error."""
@@ -319,11 +334,6 @@ def cmd_quantize_check(args):
     if spec.dim != 1:
         raise DimensionMismatch("quantize-check covers one-dimensional systems")
     lo, hi, _ = spec.domain[0]
-    if args.grid < 16:
-        # the convergence order also needs a grid of half as many points
-        raise ValueError("quantize-check needs --grid 16 or more: it also "
-                         "uses a grid of half as many points, and grids "
-                         "need at least 8 points per axis")
     gamma = args.gamma
     residuals = []
     sizes = [args.grid // 2, args.grid]
@@ -408,7 +418,9 @@ def cmd_semiclassical(args):
         lo, hi = _window_bounds(args.window)
     else:
         lo, hi, _ = spec.domain[0]
-    action_eval = bqm.make_action_evaluator(spec, args.T, N=args.classical_slices)
+    solves = {}
+    action_eval = bqm.make_action_evaluator(spec, args.T, N=args.classical_slices,
+                                            stats=solves)
     fields = {
         "const": lambda XF, XI: (np.ones_like(XF), np.ones_like(XI)),
         "dilation": lambda XF, XI: (XF.copy(), XI.copy()),
@@ -423,6 +435,7 @@ def cmd_semiclassical(args):
         "measure_mean": complex(np.mean(rep.measure)),
         "measure_variation": rep.variation,
         "constraint_residuals": rep.residuals,
+        "action_pairs_solved": solves["pairs_solved"],
     }
     write_report(args, result, raw)
     if args.out:
@@ -508,7 +521,7 @@ def build_parser():
     p = subs.add_parser("quantize-check",
                         help="commutator, ordering, and shift diagnostics")
     _add_common(p)
-    p.add_argument("--grid", type=int, default=128)
+    p.add_argument("--grid", type=_quantize_grid, default=128)
     p.add_argument("--gamma", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_quantize_check)
 

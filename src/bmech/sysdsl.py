@@ -546,6 +546,14 @@ class SystemSpec:
     def is_natural(self):
         return self.metric is not None
 
+    @property
+    def is_reversible(self):
+        """Whether L(x, -v) = L(x, v) is provable from the expression tree
+        and L has no ``t``: then the midpoint action of the reversed history
+        equals the action, so S(x_f, x_i) = S(x_i, x_f) and
+        p_f(x_f, x_i) = -p_i(x_i, x_f).  False whenever in doubt."""
+        return _velocity_parity(self.lagrangian) == 1
+
     def lagrangian_derivs(self, x, v, t=0.0):
         """(L, Lx, Lv, Lxx, Lxv, Lvv) at (x, v, t); broadcasts over a batch axis."""
         n = self.dim
@@ -665,3 +673,35 @@ def _uses_velocity(e):
     if isinstance(e, Binary):
         return _uses_velocity(e.left) or _uses_velocity(e.right)
     return False
+
+
+# parity of a function of one argument: its parity for an even and for an
+# odd argument (None where it has none); 'neg' keeps the argument's parity
+_UNARY_PARITY = {"neg": (1, -1), "sin": (1, -1), "cos": (1, 1), "abs": (1, 1),
+                 "exp": (1, None), "log": (1, None), "sqrt": (1, None)}
+
+
+def _velocity_parity(e):
+    """+1 if e is provably even under v -> -v, -1 if provably odd, None if
+    neither can be shown or ``t`` occurs.  Conservative: a sum of unlike
+    parities, an odd base under an exponent that is not an integer number,
+    and an even-only function of an odd argument all give None."""
+    if isinstance(e, (Num, Param)):
+        return 1
+    if isinstance(e, Var):
+        return {"x": 1, "v": -1}.get(e.kind)
+    if isinstance(e, Unary):
+        p = _velocity_parity(e.arg)
+        return None if p is None else _UNARY_PARITY[e.op][p < 0]
+    a, b = _velocity_parity(e.left), _velocity_parity(e.right)
+    if a is None or b is None:
+        return None
+    if e.op in ("+", "-"):
+        return a if a == b else None
+    if e.op in ("*", "/"):
+        return a * b
+    if a == 1 and b == 1:  # '^': an even base to an even exponent
+        return 1
+    if isinstance(e.right, Num) and float(e.right.value).is_integer():
+        return a if e.right.value % 2 else 1
+    return None

@@ -6,6 +6,7 @@ from scipy.linalg import circulant
 from scipy.special import erf
 
 from bmech import bqm, sysdsl
+from bmech.classical import TimeGrid, solve_classical_batch
 from bmech.bqm import (
     BoundaryState,
     amplitude,
@@ -438,3 +439,99 @@ class TestSemiclassical:
         ph2 = type(ph)(K=np.eye(64, dtype=complex), grid=fake, T=1.0)
         with pytest.raises(DimensionMismatch):
             semiclassical_measure(ph2, lambda a, b: (0.0, 0.0, 0.0))
+
+
+MIRROR_WINDOW = np.linspace(-2.0, 2.0, 9)
+MIRROR_T, MIRROR_N = 0.85, 200
+
+
+def scalar_spec(lagrangian):
+    return sysdsl.parse(json.dumps({
+        "name": "scalar", "dim": 1, "lagrangian": lagrangian,
+        "parameters": {}, "domain": [{"min": -3, "max": 3}]}))
+
+
+def full_solve(spec, XF, XI):
+    """Every pair of the table, each solved on its own column of one batch."""
+    return solve_classical_batch(spec, XF.reshape(1, -1), XI.reshape(1, -1),
+                                 TimeGrid(0.0, MIRROR_T, MIRROR_N))
+
+
+@pytest.fixture()
+def solved_pairs(monkeypatch):
+    """Sizes of the batches the action evaluator hands to the solver."""
+    sizes = []
+
+    def counting(spec, XF, XI, grid):
+        sizes.append(XF.shape[1])
+        return solve_classical_batch(spec, XF, XI, grid)
+
+    monkeypatch.setattr(bqm, "solve_classical_batch", counting)
+    return sizes
+
+
+class TestActionMirror:
+    @pytest.mark.parametrize("name", ["free_particle", "harmonic_oscillator",
+                                      "pendulum"])
+    def test_mirrored_table_matches_full_solve(self, name, solved_pairs):
+        from bmech.cli import bundled_spec_path
+        spec = sysdsl.load(bundled_spec_path(name))
+        XF, XI = np.meshgrid(MIRROR_WINDOW, MIRROR_WINDOW, indexing="ij")
+        stats = {}
+        S, PF, PI = make_action_evaluator(spec, MIRROR_T, MIRROR_N, stats)(XF, XI)
+        assert solved_pairs == [45] and stats == {"pairs_solved": 45}
+        full = full_solve(spec, XF, XI)
+        for got, want in ((S, full.action), (PF, full.p_f), (PI, full.p_i)):
+            want = want.reshape(XF.shape)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(S, S.T)
+        off = ~np.eye(S.shape[0], dtype=bool)
+        assert np.array_equal(PF[off], -PI.T[off])
+
+    @pytest.mark.parametrize("lagrangian", [
+        "0.5*v1^2 - 0.5*(1 + 0.1*t)*x1^2",  # explicit time
+        "0.5*v1^2 + x1^3*v1",                # total derivative d(x^4/4)/dt
+        "0.5*v1^2 + 0.01*v1^3",
+        "0.5*v1^2 + 0.1*sin(v1)",
+    ])
+    def test_spec_without_exchange_parity_solves_the_full_table(
+            self, lagrangian, solved_pairs):
+        spec = scalar_spec(lagrangian)
+        assert not spec.is_reversible
+        XF, XI = np.meshgrid(MIRROR_WINDOW, MIRROR_WINDOW, indexing="ij")
+        stats = {}
+        S, PF, PI = make_action_evaluator(spec, MIRROR_T, MIRROR_N, stats)(XF, XI)
+        assert solved_pairs == [81] and stats == {"pairs_solved": 81}
+        full = full_solve(spec, XF, XI)
+        assert np.array_equal(S, full.action.reshape(XF.shape))
+        assert np.array_equal(PF, full.p_f.reshape(XF.shape))
+        assert np.array_equal(PI, full.p_i.reshape(XF.shape))
+        if "x1^3*v1" in lagrangian:
+            # the boundary term (x_f^4 - x_i^4)/4 makes S antisymmetric in part
+            assert np.max(np.abs(S - S.T)) > 1.0
+
+    @pytest.mark.parametrize("table", ["not square", "not transposed", "flat"])
+    def test_other_tables_are_solved_in_full(self, osc, table, solved_pairs):
+        w = MIRROR_WINDOW
+        XF, XI = {
+            "not square": np.meshgrid(w[:5], w, indexing="ij"),
+            "not transposed": np.meshgrid(w, w + 0.1, indexing="ij"),
+            "flat": (w, w),
+        }[table]
+        S, PF, PI = make_action_evaluator(osc, MIRROR_T, MIRROR_N)(XF, XI)
+        assert solved_pairs == [XF.size]
+        full = full_solve(osc, XF, XI)
+        assert np.array_equal(S, full.action.reshape(XF.shape))
+        assert np.array_equal(PF, full.p_f.reshape(XF.shape))
+
+    def test_failing_pairs_raise_the_full_tables_first_error(self, solved_pairs):
+        # sqrt(x1) needs positive positions: pairs reaching x <= 0 fail
+        spec = scalar_spec("0.5*v1^2 - sqrt(x1)")
+        assert spec.is_reversible
+        xs = np.array([0.5, 0.2, -0.3, 0.8])
+        XF, XI = np.meshgrid(xs, xs, indexing="ij")
+        first = next(e for e in full_solve(spec, XF, XI).errors if e is not None)
+        with pytest.raises(type(first)) as raised:
+            make_action_evaluator(spec, MIRROR_T, MIRROR_N)(XF, XI)
+        assert solved_pairs == [10]
+        assert str(raised.value) == str(first)

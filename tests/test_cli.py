@@ -223,6 +223,9 @@ class TestSemiclassical:
         assert result["measure_variation"] < 0.01
         assert result["constraint_residuals"]["const"] < 0.05
         assert result["constraint_residuals"]["dilation"] > 0.1
+        # the oscillator is reversible: the upper triangle of the window
+        points = result["window"]["points"]
+        assert result["action_pairs_solved"] == points * (points + 1) // 2
         stem = str(out)[: -len(".json")]
         for suffix in (".absK.csv", ".argK.csv", ".measure_abs.csv",
                        ".measure_arg.csv", ".residual_const.csv",
@@ -306,6 +309,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"bmech: {error}:")
 
+    # exp(900) overflows on the ring; numpy's warning must not reach stderr
+    @pytest.mark.parametrize("method", ["cn", "trotter"])
+    def test_overflowing_metric_exits_1_in_one_line(self, tmp_path, capsys, method):
+        spec = tmp_path / "huge_metric.json"
+        spec.write_text(json.dumps({
+            "name": "huge_metric", "dim": 1,
+            "lagrangian": "0.5*exp(100*x1^2)*v1^2", "metric": [["exp(100*x1^2)"]],
+            "parameters": {}, "domain": [{"min": -3, "max": 3}]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["propagator", "--spec", str(spec), "--T", "0.5",
+                         "--grid", "16", "--slices", "4", f"--method={method}"])
+        assert code == 1 and caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("bmech: SingularMetric:")
+
     @pytest.mark.parametrize("method", ["cn", "trotter"])
     def test_zero_constant_metric_exits_1(self, tmp_path, capsys, method):
         spec = tmp_path / "zero_metric.json"
@@ -340,6 +359,17 @@ class TestUsageErrors:
         assert len(err) == 1 and "needs --grid 16 or more" in err[0]
         capsys.readouterr()
         assert main(["quantize-check", "--spec", OSC, "--grid=16"]) == 0
+
+    @pytest.mark.parametrize("grid", ["15", "abc"])
+    def test_quantize_check_grid_is_a_usage_error(self, tmp_path, capsys, grid):
+        code, report, _ = run(tmp_path, "quantize-check", "--spec", OSC,
+                              f"--grid={grid}")
+        assert code == 1 and report is None
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"bmech: usage error: argument --grid: quantize-check needs "
+                       f"--grid 16 or more, got {grid!r}: it also uses a grid of "
+                       f"half as many points, and grids need at least 8 points "
+                       f"per axis"]
 
     def test_negative_sweep_is_usage_error(self, tmp_path, capsys):
         argv = ["brackets", "--spec", OSC, "--at", "1,-1,1,1",

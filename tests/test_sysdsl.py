@@ -375,3 +375,49 @@ class TestFuzz:
             sysdsl.parse(blob.decode("utf-8", errors="replace"))
         except (SpecError, ExprSyntaxError, UnknownIdentifier, DimensionMismatch):
             pass
+
+
+class TestVelocityParity:
+    @pytest.mark.parametrize("text, parity", [
+        ("0.5*m*v1^2 - m*g*(1 - cos(x1))", 1),
+        ("v1*v2 + x1*v1^2", 1),
+        ("sqrt(1 - v1^2) + exp(v2^2) + abs(v1) + cos(v2)", 1),
+        ("2^(v1^2) + (v1^2)^0.5 + v1/v2", 1),
+        ("v1^3 - sin(v2) + x1*v1", -1),
+        ("0.5*v1^2 + x1^3*v1", None),
+        ("0.5*v1^2 + sin(v1)", None),
+        ("exp(v1)", None),
+        ("v1^0.5", None),
+        ("x1^v1", None),
+        ("v1^1e999", None),
+        ("0.5*v1^2*t", None),
+        ("t", None),
+    ])
+    def test_rules(self, text, parity):
+        assert sysdsl._velocity_parity(expr(text, params=("m", "g"))) == parity
+
+    def test_verdicts_hold_on_a_corpus(self):
+        # every even or odd verdict must hold at random points; None is
+        # always allowed, so only the decided expressions are checked
+        rng = np.random.default_rng(11)
+        decided = 0
+        for _ in range(400):
+            e = sysdsl.parse_expr(corpus_expression(rng), dim=2, params={})
+            parity = sysdsl._velocity_parity(e)
+            if parity is None:
+                continue
+            x, v = rng.uniform(-1.0, 1.0, (2, 2))
+            flipped = sysdsl.eval_expr(e, x=x, v=-v)
+            assert flipped == pytest.approx(parity * sysdsl.eval_expr(e, x=x, v=v),
+                                            rel=1e-12, abs=1e-12)
+            decided += 1
+        assert decided >= 100
+
+    def test_is_reversible(self):
+        doc = {"name": "s", "dim": 1, "parameters": {},
+               "domain": [{"min": -1, "max": 1}]}
+        for lagrangian, reversible in (("0.5*v1^2 - x1^2", True),
+                                       ("0.5*v1^2 - t*x1^2", False),
+                                       ("0.5*v1^2 + x1*v1", False)):
+            spec = sysdsl.parse(json.dumps({**doc, "lagrangian": lagrangian}))
+            assert spec.is_reversible is reversible

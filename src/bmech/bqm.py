@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import TimeGrid, solve_classical_batch
-from .classical import solve_classical  # noqa: F401  (re-exported: callers reach it through bqm)
-from .errors import DimensionMismatch, Instability, NonNaturalLagrangian, SingularMetric
+from .errors import (DimensionMismatch, DomainError, Instability, NonNaturalLagrangian,
+                     SingularMetric)
 from .quantize import Grid, axis_kron, check_points, derivative_matrix
 
 __all__ = [
@@ -218,8 +217,15 @@ def _inverse_mass(spec, grid):
 
 
 def _potential_on_points(spec, pts):
-    """Potential at an (n, ...) stack of coordinate vectors."""
-    return np.asarray(spec.potential_value(pts), dtype=float)
+    """Potential at an (n, ...) stack of coordinate vectors.
+
+    Raises DomainError unless it is finite at every point.
+    """
+    with np.errstate(all="ignore"):  # the check below raises
+        V = np.asarray(spec.potential_value(pts), dtype=float)
+    if not np.all(np.isfinite(V)):
+        raise DomainError("potential is not finite on the ring")
+    return V
 
 
 def _hamiltonian(spec, grid):
@@ -384,6 +390,7 @@ def make_action_evaluator(spec, T, N=400, stats=None):
     partner (j, i) of a lower pair (i, j) comes before it in row-major order;
     the message may differ from that pair's own in its iteration digits.
     """
+    from .classical import TimeGrid, solve_classical_batch
     grid = TimeGrid(0.0, T, N)
     reversible = spec.is_reversible
 

@@ -10,6 +10,10 @@ In-process calls of ``main(argv)`` share one argument parser, built on the
 first call; ``build_parser()`` returns a fresh one for callers that want
 their own.  argparse reads the streams and the terminal width when it
 prints, so the shared parser writes what a fresh one would.
+
+Importing this module loads only the system-file parser and the error types;
+each subcommand imports the numerical layers it runs when it runs, so a
+shell call pays for no layer it does not use.
 """
 
 import argparse
@@ -19,13 +23,11 @@ import json
 import logging
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import __version__
-from . import bqm, dump, quantize, symplectic, sysdsl
-from .classical import TimeGrid, jacobi_and_greens, solve_classical
+from . import sysdsl
 from .errors import (
     BmechError,
     Degenerate,
@@ -45,15 +47,19 @@ from .errors import (
 
 log = logging.getLogger("bmech")
 
-# a singular or degenerate metric is a defect of the system file
+# a singular or degenerate metric is a defect of the system file; a file
+# that cannot be read or written is a usage error.  numpy's LinAlgError
+# subclasses ValueError, so main tests NUMERICAL_ERRORS first.
 USAGE_ERRORS = (SpecError, ExprSyntaxError, UnknownIdentifier, DimensionMismatch,
                 DomainError, WeightMismatch, NonNaturalLagrangian, SingularMetric,
-                Degenerate, FileNotFoundError, ValueError)
-NUMERICAL_ERRORS = (NoConvergence, SingularHessian, Instability, OffShell)
+                Degenerate, OSError, ValueError)
+NUMERICAL_ERRORS = (NoConvergence, SingularHessian, Instability, OffShell,
+                    np.linalg.LinAlgError)
 
 
 def bundled_spec_path(name):
     """Filesystem path of a system file shipped with the package."""
+    from importlib import resources
     return str(resources.files("bmech.specs").joinpath(f"{name}.json"))
 
 
@@ -98,6 +104,7 @@ def write_report(args, result, spec_bytes=None):
 
 
 def _write_csv(path, array):
+    from . import dump
     dump.write_csv(path, array)
     log.info("field dump written to %s", path)
 
@@ -216,6 +223,7 @@ def cmd_parse(args):
 
 
 def _classical_record(spec, x_f, x_i, grid):
+    from .classical import jacobi_and_greens, solve_classical
     sol = solve_classical(spec, x_f, x_i, grid)
     greens, _ = jacobi_and_greens(spec, sol)
     return {
@@ -231,6 +239,7 @@ def _classical_record(spec, x_f, x_i, grid):
 
 
 def cmd_classical(args):
+    from .classical import TimeGrid
     spec, raw = _load_spec(args)
     x_f, x_i = _floats(args.xf), _floats(args.xi)
     if x_f.shape != (spec.dim,) or x_i.shape != (spec.dim,):
@@ -260,6 +269,7 @@ def cmd_classical(args):
 def _parse_observable(text, n):
     """Observable syntax: F:<expr> or G:<c1,...,c2n>; expressions use x1..xn
     for final-end coordinates and x{n+1}..x{2n} for initial-end ones."""
+    from . import symplectic
     kind, _, body = text.partition(":")
     kind = kind.strip()
     if kind == "F":
@@ -278,6 +288,8 @@ def _parse_observable(text, n):
 
 
 def cmd_brackets(args):
+    from . import symplectic
+    from .classical import TimeGrid, jacobi_and_greens, solve_classical
     spec, raw = _load_spec(args)
     n = spec.dim
     at = _floats(args.at)
@@ -330,6 +342,7 @@ def cmd_brackets(args):
 
 
 def cmd_quantize_check(args):
+    from . import quantize
     spec, raw = _load_spec(args)
     if spec.dim != 1:
         raise DimensionMismatch("quantize-check covers one-dimensional systems")
@@ -385,6 +398,7 @@ def _dump_kernel_fields(args, phys):
 
 
 def cmd_propagator(args):
+    from . import bqm
     spec, raw = _load_spec(args)
     method = {"cn": "cranknicolson", "trotter": "trotter"}[args.method]
     grid = bqm.kernel_grid(spec, args.T, args.grid)
@@ -409,6 +423,7 @@ def cmd_propagator(args):
 
 
 def cmd_semiclassical(args):
+    from . import bqm
     spec, raw = _load_spec(args)
     method = {"cn": "cranknicolson", "trotter": "trotter"}[args.method]
     grid = bqm.kernel_grid(spec, args.T, args.grid)
@@ -586,8 +601,11 @@ def main(argv=None):
         print(f"bmech: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         if args.out:
-            write_report(args, {"error": {"type": type(exc).__name__,
-                                          "message": str(exc)}})
+            try:
+                write_report(args, {"error": {"type": type(exc).__name__,
+                                              "message": str(exc)}})
+            except OSError:  # the line above already reports the failure
+                pass
         return 2
     except USAGE_ERRORS as exc:
         print(f"bmech: {type(exc).__name__}: {exc}", file=sys.stderr)

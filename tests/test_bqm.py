@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import circulant
 from scipy.special import erf
 
-from bmech import bqm, sysdsl
+from bmech import bqm, classical, sysdsl
 from bmech.classical import TimeGrid, solve_classical_batch
 from bmech.bqm import (
     BoundaryState,
@@ -16,8 +16,8 @@ from bmech.bqm import (
     phys_state,
     semiclassical_measure,
 )
-from bmech.errors import (DimensionMismatch, Instability, NonNaturalLagrangian,
-                          SingularMetric)
+from bmech.errors import (DimensionMismatch, DomainError, Instability,
+                          NonNaturalLagrangian, SingularMetric)
 from bmech.quantize import Grid, derivative_matrix, op_F, op_G
 from conftest import STEEP_OSCILLATOR, free_kernel, mehler_kernel
 
@@ -248,6 +248,18 @@ class TestPhysState:
         with np.errstate(over="ignore"), pytest.raises(SingularMetric):
             phys_state(spec, 0.5, grid, method=method, slices=4)
 
+    # exp(100*x1^2) overflows at the ring's ends, beyond |x| = 2.67
+    @pytest.mark.parametrize("method", ["cranknicolson", "trotter"])
+    def test_potential_overflowing_on_the_ring_is_a_domain_error(self, method):
+        spec = sysdsl.parse(json.dumps({
+            "name": "steep_potential", "dim": 1,
+            "lagrangian": "0.5*v1^2 - exp(100*x1^2)", "metric": [["1"]],
+            "potential": "exp(100*x1^2)", "parameters": {},
+            "domain": [{"min": -3, "max": 3}]}))
+        grid = kernel_grid(spec, 0.5, 16)
+        with np.errstate(all="raise"), pytest.raises(DomainError):
+            phys_state(spec, 0.5, grid, method=method, slices=4)
+
     def test_constant_metric_hamiltonian_has_plane_wave_eigenvectors(self):
         # a non-diagonal constant metric: every in-band plane wave is an
         # eigenvector with eigenvalue k.g^(-1).k / 2 + V
@@ -466,7 +478,7 @@ def solved_pairs(monkeypatch):
         sizes.append(XF.shape[1])
         return solve_classical_batch(spec, XF, XI, grid)
 
-    monkeypatch.setattr(bqm, "solve_classical_batch", counting)
+    monkeypatch.setattr(classical, "solve_classical_batch", counting)
     return sizes
 
 

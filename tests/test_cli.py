@@ -325,6 +325,62 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("bmech: SingularMetric:")
 
+    # before: numpy's overflow and invalid-value warnings, then Instability
+    # with exit 2
+    @pytest.mark.parametrize("argv", [
+        ["propagator", "--method=cn"],
+        ["propagator", "--method=trotter"],
+        ["semiclassical", "--classical-slices=8"],
+    ])
+    def test_overflowing_potential_exits_1_in_one_line(self, tmp_path, capsys, argv):
+        spec = tmp_path / "huge_potential.json"
+        spec.write_text(json.dumps({
+            "name": "huge_potential", "dim": 1,
+            "lagrangian": "0.5*v1^2 - exp(100*x1^2)", "metric": [["1"]],
+            "potential": "exp(100*x1^2)", "parameters": {},
+            "domain": [{"min": -3, "max": 3}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--spec", str(spec), "--T", "0.5",
+                         "--grid", "16", "--slices", "4"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["bmech: DomainError: potential is not finite on the ring"]
+
+    # before: a traceback of the IsADirectoryError
+    def test_unreadable_spec_or_unwritable_out_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for argv in (["--spec", str(tmp_path)],
+                     ["--spec", OSC, "--out", str(tmp_path)],
+                     ["--spec", OSC, "--out", str(blocker / "report.json")]):
+            assert main(["parse", *argv]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("bmech: ")
+            assert "Error:" in err[0] and str(tmp_path) in err[0]
+
+    def test_numerical_failure_with_unwritable_out_exits_2(self, tmp_path, capsys):
+        code = main(["classical", "--spec", OSC, "--xi", "1", "--xf", "1",
+                     "--tf", repr(math.pi), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("bmech: numerical failure: SingularHessian:")
+
+    # LinAlgError subclasses ValueError, which alone would make it exit 1
+    def test_linalg_error_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        code, report, _ = run(tmp_path, "propagator", "--spec", OSC, "--T", "0.5",
+                              "--grid", "16", "--slices", "4", "--method=cn")
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["bmech: numerical failure: LinAlgError: "
+                       "Eigenvalues did not converge"]
+        assert report["result"]["error"]["type"] == "LinAlgError"
+
     @pytest.mark.parametrize("method", ["cn", "trotter"])
     def test_zero_constant_metric_exits_1(self, tmp_path, capsys, method):
         spec = tmp_path / "zero_metric.json"
@@ -498,32 +554,57 @@ class TestReportAggregation:
         assert names == {"harmonic_oscillator", "free_particle"}
 
 
-# Calls in a fresh interpreter: the SciPy modules loaded after the calls
-# that need none, then after a classical solve, which factors with LAPACK
+# Calls in a fresh interpreter, as a shell user makes them: the bmech modules
+# loaded after importing the CLI and parsing a system file, then after each
+# call; the SciPy modules loaded after the calls that need none, then after a
+# classical solve, which factors with LAPACK
 FRESH_CALLS = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from bmech.cli import bundled_spec_path, main
-osc, out = bundled_spec_path("harmonic_oscillator"), sys.argv[2]
+osc, out = sys.argv[2], sys.argv[3]
+loaded_now = lambda: sorted(name for name in sys.modules if name.split(".")[0] == "bmech")
+import bmech.cli
+from bmech import sysdsl
+with open(osc, "rb") as fh:
+    sysdsl.parse(fh.read().decode("utf-8"))
+loaded = {"setup": loaded_now()}
 kernel = ["propagator", "--spec", osc, "--T", "0.5", "--grid", "32", "--slices", "8"]
-calls = [["parse", "--spec", osc], [*kernel, "--method", "cn"],
-         [*kernel, "--method", "trotter"], ["quantize-check", "--spec", osc, "--grid", "16"]]
-codes = [main([*argv, "--out", out]) for argv in calls]
+calls = {"parse": ["parse", "--spec", osc],
+         "quantize-check": ["quantize-check", "--spec", osc, "--grid", "16"],
+         "cn": [*kernel, "--method", "cn"], "trotter": [*kernel, "--method", "trotter"]}
+codes = []
+for name, argv in calls.items():
+    codes.append(bmech.cli.main([*argv, "--out", out]))
+    loaded[name] = loaded_now()
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-code = main(["classical", "--spec", osc, "--xi", "0.2", "--xf", "0.9", "--tf", "1",
-             "--out", out])
+code = bmech.cli.main(["classical", "--spec", osc, "--xi", "0.2", "--xf", "0.9",
+                       "--tf", "1", "--out", out])
 print(json.dumps({"codes": codes, "scipy": scipy, "classical": code,
-                  "lapack": "scipy.linalg.lapack" in sys.modules}))
+                  "lapack": "scipy.linalg.lapack" in sys.modules, "loaded": loaded}))
 """
 
 
+@pytest.fixture(scope="class")
+def fresh_calls(tmp_path_factory):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path_factory.mktemp("fresh") / "report.json"
+    done = subprocess.run([sys.executable, "-c", FRESH_CALLS, src, OSC, str(out)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestStartup:
-    def test_only_second_variations_load_scipy(self, tmp_path):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run([sys.executable, "-c", FRESH_CALLS, src,
-                               str(tmp_path / "report.json")],
-                              capture_output=True, text=True, check=True)
-        seen = json.loads(done.stdout.splitlines()[-1])
-        assert seen["codes"] == [0, 0, 0, 0]
-        assert seen["scipy"] == []
-        assert seen["classical"] == 0 and seen["lapack"]
+    def test_only_second_variations_load_scipy(self, fresh_calls):
+        assert fresh_calls["codes"] == [0, 0, 0, 0]
+        assert fresh_calls["scipy"] == []
+        assert fresh_calls["classical"] == 0 and fresh_calls["lapack"]
+
+    def test_each_subcommand_loads_only_the_layers_it_runs(self, fresh_calls):
+        loaded = {name: set(modules) for name, modules in fresh_calls["loaded"].items()}
+        assert loaded["setup"] == {"bmech", "bmech.cli", "bmech.errors", "bmech.sysdsl"}
+        assert loaded["parse"] == loaded["setup"]
+        layers = {f"bmech.{name}" for name in ("bqm", "classical", "symplectic", "dump")}
+        assert "bmech.quantize" in loaded["quantize-check"]
+        assert not loaded["quantize-check"] & layers
+        assert {"bmech.bqm", "bmech.dump"} <= loaded["cn"]
+        assert not loaded["trotter"] & {"bmech.classical", "bmech.symplectic"}

@@ -25,13 +25,18 @@ power is applied to the filtered deltas and to the norm watchdog's probe.
 
 The semiclassical diagnostics factor the kernel on a window as K = a e^{iS}.
 The classical action S and the boundary momenta come over whole arrays of
-boundary pairs from one batched two-point solve (``make_action_evaluator``).
-The theory does not tell the initial moment from the final one: when L is
-even in v and has no t (``SystemSpec.is_reversible``, a conservative test
-of the expression tree), S(x_f, x_i) = S(x_i, x_f) and
-p_f(x_f, x_i) = -p_i(x_i, x_f) hold exactly for the midpoint action, so the
-window's square table solves its upper triangle only and mirrors the rest.
-Failures keep their order: the first failed pair in row-major order raises.
+boundary pairs (``make_action_evaluator``).  When L is a polynomial of
+degree at most 2 in (x, v) with no t (``SystemSpec.is_quadratic``, a
+conservative test of the expression tree), the discrete Euler-Lagrange
+equations are linear: one solve at the table's centre and its two Dirichlet
+Jacobi fields give every pair's history by superposition.  Any other L takes
+one batched two-point solve.  The theory does not tell the initial moment
+from the final one: when L is even in v and has no t
+(``SystemSpec.is_reversible``, another such test), S(x_f, x_i) = S(x_i, x_f)
+and p_f(x_f, x_i) = -p_i(x_i, x_f) hold exactly for the midpoint action, so
+the batch solves the upper triangle of the window's square table only and
+mirrors the rest.  Failures keep their order: the first failed pair in
+row-major order raises.
 """
 
 from dataclasses import dataclass
@@ -371,44 +376,55 @@ def make_action_evaluator(spec, T, N=400, stats=None):
 
     Returns ``evaluate(XF, XI) -> (S, PF, PI)``: the action and the boundary
     momenta p_f, p_i of every pair (x_f, x_i), as arrays of the shape of XF
-    and XI, from one ``solve_classical_batch`` call on an N-interval grid
-    over [0, T].
+    and XI, on an N-interval grid over [0, T].
 
-    For a reversible spec (``SystemSpec.is_reversible``: L even in v, no t)
-    the midpoint action of the reversed history is the action, so
+    For a quadratic spec (``SystemSpec.is_quadratic``: L of degree at most 2
+    in (x, v), no t) one ``solve_quadratic_batch`` call solves the table's
+    centre (mean x_f, mean x_i) once and superposes every pair's history
+    from it and its two Dirichlet Jacobi fields; a failure of that solve,
+    such as a caustic, raises, and counts as one solved pair.
+
+    Any other spec takes one ``solve_classical_batch`` call.  For a
+    reversible spec (``SystemSpec.is_reversible``: L even in v, no t) the
+    midpoint action of the reversed history is the action, so
     S(x_f, x_i) = S(x_i, x_f) and p_f(x_f, x_i) = -p_i(x_i, x_f).  A square
     table with XI == XF.T then has only its upper triangle solved (diagonal
     included, row-major order) and the lower one filled by S[j, i] = S[i, j],
     PF[j, i] = -PI[i, j], PI[j, i] = -PF[i, j]; any other table or spec is
     solved in full.  If ``stats`` is a dict, each call adds the number of
-    pairs it solved to ``stats["pairs_solved"]``.
+    pairs it solved to ``stats["pairs_solved"]``: 1 for a quadratic spec.
 
-    If any pair fails, the first failed pair in row-major order raises its
-    error (NoConvergence, SingularHessian, DomainError).  A mirrored table
-    raises the first failure of its triangle.  That is the full table's
-    first failure whenever a pair and its partner fail alike, because the
-    partner (j, i) of a lower pair (i, j) comes before it in row-major order;
-    the message may differ from that pair's own in its iteration digits.
+    If any pair of the batch fails, the first failed pair in row-major order
+    raises its error (NoConvergence, SingularHessian, DomainError).  A
+    mirrored table raises the first failure of its triangle.  That is the
+    full table's first failure whenever a pair and its partner fail alike,
+    because the partner (j, i) of a lower pair (i, j) comes before it in
+    row-major order; the message may differ from that pair's own in its
+    iteration digits.
     """
-    from .classical import TimeGrid, solve_classical_batch
+    from .classical import TimeGrid, solve_classical_batch, solve_quadratic_batch
     grid = TimeGrid(0.0, T, N)
+    quadratic = spec.is_quadratic
     reversible = spec.is_reversible
 
     def evaluate(XF, XI):
         XF, XI = np.broadcast_arrays(np.asarray(XF, float), np.asarray(XI, float))
-        mirror = (reversible and XF.ndim == 2
+        mirror = (not quadratic and reversible and XF.ndim == 2
                   and XF.shape[0] == XF.shape[1] and np.array_equal(XI, XF.T))
         if mirror:
             rows, cols = np.triu_indices(XF.shape[0])
             xf, xi = XF[rows, cols], XI[rows, cols]
         else:
             xf, xi = XF.ravel(), XI.ravel()
-        batch = solve_classical_batch(spec, xf[None], xi[None], grid)
+        if quadratic:
+            batch, solved = solve_quadratic_batch(spec, xf[None], xi[None], grid), 1
+        else:
+            batch, solved = solve_classical_batch(spec, xf[None], xi[None], grid), xf.size
         for error in batch.errors:
             if error is not None:
                 raise error
         if stats is not None:
-            stats["pairs_solved"] = stats.get("pairs_solved", 0) + xf.size
+            stats["pairs_solved"] = stats.get("pairs_solved", 0) + solved
         S, pf, pi = batch.action, batch.p_f[0], batch.p_i[0]
         if not mirror:
             return S.reshape(XF.shape), pf.reshape(XF.shape), pi.reshape(XF.shape)

@@ -39,6 +39,7 @@ __all__ = [
     "action_gradient_hessian",
     "solve_classical",
     "solve_classical_batch",
+    "solve_quadratic_batch",
     "ClassicalBatch",
     "classical_action_derivs",
     "jacobi_and_greens",
@@ -189,11 +190,12 @@ def action_gradient_hessian(spec, h, grid):
     _, Lx, Lv, A, B, C = spec.lagrangian_derivs(*_interval_data(h, grid),
                                                  grid.midpoints())
 
-    # gradient pieces per interval: (tau/2) Lx -+ Lv, axes (n, ..., N) -> (..., N, n)
+    # gradient pieces per interval, axes (n, ..., N) -> (..., N, n)
     back = tuple(range(1, h.ndim)) + (0,)
+    left, right = _node_gradient_terms(Lx, Lv, tau)
     grad = np.zeros(h.shape)
-    grad[..., :-1, :] += (0.5 * tau * Lx - Lv).transpose(back)
-    grad[..., 1:, :] += (0.5 * tau * Lx + Lv).transpose(back)
+    grad[..., :-1, :] += left.transpose(back)
+    grad[..., 1:, :] += right.transpose(back)
 
     # per-interval Hessian blocks, axes (n, n, ..., N) -> (..., N, n, n)
     back = tuple(range(2, h.ndim + 1)) + (0, 1)
@@ -207,6 +209,26 @@ def action_gradient_hessian(spec, h, grid):
     p_f = grad[..., -1, :]
     return grad[..., 1:-1, :], (p_f, p_i), {"D00": D00, "D01": D01, "D11": D11,
                                             "kin": C / tau}
+
+
+def _node_gradient_terms(Lx, Lv, tau):
+    """Each interval's terms of dS/dh at its left node, (tau/2) Lx - Lv, and
+    at its right node, (tau/2) Lx + Lv."""
+    return 0.5 * tau * Lx - Lv, 0.5 * tau * Lx + Lv
+
+
+def boundary_momenta(spec, ends, grid):
+    """Boundary momenta (p_f, p_i) of stationary histories from their first
+    and last intervals alone: dS/dh_N = p_f and dS/dh_0 = -p_i, as
+    ``action_gradient_hessian`` reads them off the full gradient.  ``ends``
+    holds the nodes (h_0, h_1, h_{N-1}, h_N) of each history, shape (B, 4, n);
+    p_f and p_i have shape (n, B)."""
+    mid, vel = _interval_data(np.asarray(ends, dtype=float), grid)
+    # intervals (h_0, h_1) and (h_{N-1}, h_N); the middle pair is no interval
+    _, Lx, Lv, *_ = spec.lagrangian_derivs(mid[..., ::2], vel[..., ::2],
+                                           grid.midpoints()[[0, -1]])
+    left, right = _node_gradient_terms(Lx, Lv, grid.tau)
+    return right[..., 1], -left[..., 0]
 
 
 def assemble_tridiag(blocks):
@@ -449,6 +471,70 @@ def solve_classical_batch(spec, XF, XI, grid):
                           errors=errors)
 
 
+def solve_quadratic_batch(spec, XF, XI, grid):
+    """Two-point solutions of a batch of boundary pairs (XF, XI of shape
+    (n, B)) for a Lagrangian of degree at most 2 in (x, v) with no t
+    (``SystemSpec.is_quadratic``), from one solve.
+
+    The discrete Euler-Lagrange equations are then linear, so the solution
+    for (x_f, x_i) is h_0 + J (x_f - c_f, x_i - c_i): the solution h_0 at the
+    batch's centre (c_f, c_i), the member means, plus the Dirichlet Jacobi
+    fields J of h_0, which span every boundary displacement.  Histories are
+    superposed on chunks of CHUNK_ELEMENTS node x member elements, with the
+    endpoints set exactly; the action is ``discrete_action`` of each and the
+    momenta are ``boundary_momenta``.  A failure of the centre's solve (a
+    caustic is the same for every member) raises; ``iterations`` holds the
+    centre's Newton iterations for every member.
+    """
+    n, N = spec.dim, grid.N
+    XF = np.asarray(XF, dtype=float)
+    XI = np.asarray(XI, dtype=float)
+    if XF.ndim != 2 or XF.shape[0] != n or XI.shape != XF.shape:
+        raise ValueError(f"boundary points must have shape ({n}, B)")
+    B = XF.shape[1]
+    if not B:
+        return solve_classical_batch(spec, XF, XI, grid)
+    c_f, c_i = XF.mean(axis=1), XI.mean(axis=1)
+    sol = solve_classical(spec, c_f, c_i, grid)
+    # columns: h_0, then the fields of the displacement (x_f - c_f, x_i - c_i)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    F = np.concatenate([sol.history[..., None], dirichlet_field(
+        sol.blocks, sol.factor, np.hstack([eye, zero]), np.hstack([zero, eye]))], axis=-1)
+    # The blocks sum C/tau and tau A/4 into one coefficient, whose rounding
+    # (about eps/tau) is large against tau A/4, so fields solved from the
+    # factor alone carry it: momenta 16x less accurate than the Newton
+    # batch's.  One step of refinement against the action's gradient, which
+    # keeps the two terms apart, makes them about 10x more accurate than the
+    # batch's instead.  The gradient is affine, so a field's residual is its
+    # gradient less that of the zero history.
+    stack = np.concatenate([np.moveaxis(F, -1, 0), np.zeros((1, N + 1, n))])
+    grad = action_gradient_hessian(spec, stack, grid)[0]
+    grad[1:-1] -= grad[-1]
+    F[1:-1] -= sol.factor.solve(np.moveaxis(grad[:-1], 0, -1))
+    shift = np.vstack([XF - c_f[:, None], XI - c_i[:, None]]).T  # (B, 2n)
+
+    def superpose(nodes, rows):
+        """Nodes ``nodes`` of the histories of members ``rows``, endpoints exact."""
+        part = F[nodes]
+        h = part[..., 0] + (shift[rows] @ part[..., 1:].reshape(-1, 2 * n).T
+                            ).reshape(-1, len(part), n)
+        h[:, 0], h[:, -1] = XI[:, rows].T, XF[:, rows].T
+        return h
+
+    history = np.empty((B, N + 1, n))
+    action = np.empty(B)
+    size = max(1, CHUNK_ELEMENTS // (N + 1))
+    for lo in range(0, B, size):
+        chunk = slice(lo, lo + size)
+        history[chunk] = superpose(slice(None), chunk)
+        action[chunk] = discrete_action(spec, history[chunk], grid)
+    # the end intervals of every member at once
+    p_f, p_i = boundary_momenta(spec, superpose([0, 1, -2, -1], slice(None)), grid)
+    return ClassicalBatch(history=np.moveaxis(history, 0, -1), action=action,
+                          p_f=p_f, p_i=p_i,
+                          iterations=np.full(B, sol.iterations), errors=[None] * B)
+
+
 def _evaluate(spec, h, grid):
     """``action_gradient_hessian`` of a stack of histories as one dict of
     member-leading arrays (None if every member raised), and per member the
@@ -638,6 +724,23 @@ def _schur_boundary(blocks, factor):
 # ---------------------------------------------------------------------------
 # Jacobi fields and boundary Green functions
 
+def dirichlet_field(blocks, factor, dx_f, dx_i):
+    """Jacobi field with endpoint values dx_f and dx_i, of shape (n,), or
+    (n, m) for m fields at once (shape (N+1, n) or (N+1, n, m)), from the
+    interval blocks and the interior factor of a solution."""
+    D01 = blocks["D01"]
+    dx_f = np.asarray(dx_f, dtype=float)
+    dx_i = np.asarray(dx_i, dtype=float)
+    rhs = np.zeros((len(D01) - 1,) + dx_f.shape)
+    rhs[0] -= np.swapaxes(D01[0], 0, 1) @ dx_i
+    rhs[-1] -= D01[-1] @ dx_f
+    field = np.empty((len(D01) + 1,) + dx_f.shape)
+    field[0] = dx_i
+    field[-1] = dx_f
+    field[1:-1] = factor.solve(rhs)
+    return field
+
+
 class JacobiSolver:
     """Linearized-history solver around a converged classical solution.
 
@@ -660,17 +763,7 @@ class JacobiSolver:
 
     def solve_dirichlet(self, dx_f, dx_i):
         """Jacobi field with prescribed endpoint values."""
-        N, n = self.grid.N, self.n
-        dx_f = np.asarray(dx_f, dtype=float)
-        dx_i = np.asarray(dx_i, dtype=float)
-        rhs = np.zeros((N - 1, n))
-        rhs[0] -= np.swapaxes(self.D01[0], 0, 1) @ dx_i
-        rhs[-1] -= self.D01[-1] @ dx_f
-        field = np.empty((N + 1, n))
-        field[0] = dx_i
-        field[-1] = dx_f
-        field[1:-1] = self.sol.factor.solve(rhs)
-        return field
+        return dirichlet_field(self.sol.blocks, self.sol.factor, dx_f, dx_i)
 
     def solve_neumann(self, dp_f, dp_i):
         """Jacobi field with prescribed endpoint momenta.

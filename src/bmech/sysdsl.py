@@ -554,6 +554,15 @@ class SystemSpec:
         p_f(x_f, x_i) = -p_i(x_i, x_f).  False whenever in doubt."""
         return _velocity_parity(self.lagrangian) == 1
 
+    @property
+    def is_quadratic(self):
+        """Whether L is provably a polynomial of degree at most 2 in (x, v)
+        with no ``t``: then its second derivatives are constant and the
+        discrete Euler-Lagrange equations are linear, so every stationary
+        history is one solution plus Jacobi fields.  False whenever in doubt."""
+        degree = _polynomial_degree(self.lagrangian)
+        return degree is not None and degree <= 2
+
     def lagrangian_derivs(self, x, v, t=0.0):
         """(L, Lx, Lv, Lxx, Lxv, Lvv) at (x, v, t); broadcasts over a batch axis."""
         n = self.dim
@@ -705,3 +714,31 @@ def _velocity_parity(e):
     if isinstance(e.right, Num) and float(e.right.value).is_integer():
         return a if e.right.value % 2 else 1
     return None
+
+
+def _polynomial_degree(e):
+    """Degree of e as a polynomial in (x, v), or None if that cannot be shown
+    or ``t`` occurs.  Conservative: a function of a variable, a division by
+    a variable, and a variable base under an exponent that is not a
+    non-negative integer number all give None; a constant stays a constant
+    (degree 0) under any function, quotient or power."""
+    if isinstance(e, (Num, Param)):
+        return 0
+    if isinstance(e, Var):
+        return None if e.kind == "t" else 1
+    if isinstance(e, Unary):
+        d = _polynomial_degree(e.arg)
+        return d if e.op == "neg" or d == 0 else None
+    a, b = _polynomial_degree(e.left), _polynomial_degree(e.right)
+    if a is None or b is None:
+        return None
+    if e.op in ("+", "-"):
+        return max(a, b)
+    if e.op == "*":
+        return a + b
+    if b != 0:  # '/' or '^' with a variable right operand
+        return None
+    if e.op == "/" or a == 0:
+        return a
+    k = e.right.value if isinstance(e.right, Num) else -1.0
+    return int(k) * a if k >= 0 and float(k).is_integer() else None

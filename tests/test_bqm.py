@@ -482,12 +482,20 @@ def solved_pairs(monkeypatch):
     return sizes
 
 
+# reversible Lagrangians that are not quadratic, so their tables are solved
+# pair by pair: a quartic potential and a position-dependent mass
+ANHARMONIC = "0.5*v1^2 - 0.5*x1^2 - 0.02*x1^4"
+POSITION_MASS = "0.5*(1 + 0.1*x1^2)*v1^2 - 0.5*x1^2"
+
+
 class TestActionMirror:
-    @pytest.mark.parametrize("name", ["free_particle", "harmonic_oscillator",
-                                      "pendulum"])
+    @pytest.mark.parametrize("name", ["anharmonic", "position_mass", "pendulum"])
     def test_mirrored_table_matches_full_solve(self, name, solved_pairs):
         from bmech.cli import bundled_spec_path
-        spec = sysdsl.load(bundled_spec_path(name))
+        lagrangians = {"anharmonic": ANHARMONIC, "position_mass": POSITION_MASS}
+        spec = (scalar_spec(lagrangians[name]) if name in lagrangians
+                else sysdsl.load(bundled_spec_path(name)))
+        assert spec.is_reversible and not spec.is_quadratic
         XF, XI = np.meshgrid(MIRROR_WINDOW, MIRROR_WINDOW, indexing="ij")
         stats = {}
         S, PF, PI = make_action_evaluator(spec, MIRROR_T, MIRROR_N, stats)(XF, XI)
@@ -523,16 +531,17 @@ class TestActionMirror:
             assert np.max(np.abs(S - S.T)) > 1.0
 
     @pytest.mark.parametrize("table", ["not square", "not transposed", "flat"])
-    def test_other_tables_are_solved_in_full(self, osc, table, solved_pairs):
+    def test_other_tables_are_solved_in_full(self, table, solved_pairs):
+        spec = scalar_spec(ANHARMONIC)
         w = MIRROR_WINDOW
         XF, XI = {
             "not square": np.meshgrid(w[:5], w, indexing="ij"),
             "not transposed": np.meshgrid(w, w + 0.1, indexing="ij"),
             "flat": (w, w),
         }[table]
-        S, PF, PI = make_action_evaluator(osc, MIRROR_T, MIRROR_N)(XF, XI)
+        S, PF, PI = make_action_evaluator(spec, MIRROR_T, MIRROR_N)(XF, XI)
         assert solved_pairs == [XF.size]
-        full = full_solve(osc, XF, XI)
+        full = full_solve(spec, XF, XI)
         assert np.array_equal(S, full.action.reshape(XF.shape))
         assert np.array_equal(PF, full.p_f.reshape(XF.shape))
 
@@ -546,4 +555,76 @@ class TestActionMirror:
         with pytest.raises(type(first)) as raised:
             make_action_evaluator(spec, MIRROR_T, MIRROR_N)(XF, XI)
         assert solved_pairs == [10]
+        assert str(raised.value) == str(first)
+
+
+def discrete_oscillator(XF, XI, tau, N):
+    """Exact stationary midpoint action and momenta of L = v^2/2 - x^2/2.
+
+    The discrete history is x_k = (x_i sin((N-k)theta) + x_f sin(k theta))
+    / sin(N theta) with cos theta = (1 - tau^2/4)/(1 + tau^2/4), that is
+    tan(theta/2) = tau/2, and the action is the quadratic form
+    S = ((x_f^2 + x_i^2) cos(N theta) - 2 x_f x_i) / (2 sin(N theta)).
+    """
+    theta = 2.0 * np.arctan(0.5 * tau)
+    c, s = np.cos(N * theta), np.sin(N * theta)
+    S = ((XF**2 + XI**2) * c - 2.0 * XF * XI) / (2.0 * s)
+    return S, (XF * c - XI) / s, (XF - XI * c) / s
+
+
+def relative_error(got, want):
+    want = np.reshape(want, np.shape(got))
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestQuadraticTable:
+    """A quadratic L has its whole table superposed from one solve."""
+
+    @pytest.mark.parametrize("N", [50, 200, 800, 3200])
+    def test_oscillator_matches_the_exact_discrete_solution(
+            self, osc, N, solved_pairs):
+        XF, XI = np.meshgrid(MIRROR_WINDOW, MIRROR_WINDOW, indexing="ij")
+        stats = {}
+        S, PF, PI = make_action_evaluator(osc, MIRROR_T, N, stats)(XF, XI)
+        assert solved_pairs == [] and stats == {"pairs_solved": 1}
+        exact = discrete_oscillator(XF, XI, MIRROR_T / N, N)
+        assert relative_error(S, exact[0]) <= 1e-13
+        # the pair-by-pair solve of the same table, against the same reference
+        full = solve_classical_batch(osc, XF.reshape(1, -1), XI.reshape(1, -1),
+                                     TimeGrid(0.0, MIRROR_T, N))
+        for got, batch, want in ((PF, full.p_f, exact[1]), (PI, full.p_i, exact[2])):
+            assert relative_error(got, want) <= 3 * relative_error(
+                batch.reshape(XF.shape), want)
+
+    @pytest.mark.parametrize("lagrangian", [
+        "0.5*v1^2 + 0.3*x1*v1 - 0.5*x1^2",
+        "0.5*v1^2 + 0.2*v1 - 0.1*x1 + 0.05*x1^2",
+        "0.5*v1^2 - 0.5*x1^2",
+    ])
+    @pytest.mark.parametrize("table", ["square", "not square"])
+    def test_tables_match_full_solve(self, lagrangian, table, solved_pairs):
+        spec = scalar_spec(lagrangian)
+        assert spec.is_quadratic
+        w = MIRROR_WINDOW
+        XF, XI = {"square": np.meshgrid(w, w, indexing="ij"),
+                  "not square": np.meshgrid(w[:5], w + 0.3, indexing="ij")}[table]
+        stats = {}
+        S, PF, PI = make_action_evaluator(spec, MIRROR_T, MIRROR_N, stats)(XF, XI)
+        assert solved_pairs == [] and stats == {"pairs_solved": 1}
+        assert S.shape == PF.shape == PI.shape == XF.shape
+        full = full_solve(spec, XF, XI)
+        # measured: at most 3.5e-16 (S) and 1.4e-13 (momenta)
+        assert relative_error(S, full.action) <= 2e-15
+        assert relative_error(PF, full.p_f) <= 5e-13
+        assert relative_error(PI, full.p_i) <= 5e-13
+
+    @pytest.mark.parametrize("T", [np.pi, 2 * np.pi])
+    def test_caustic_raises_the_full_tables_first_error(self, osc, T, solved_pairs):
+        XF, XI = np.meshgrid(MIRROR_WINDOW, MIRROR_WINDOW, indexing="ij")
+        full = solve_classical_batch(osc, XF.reshape(1, -1), XI.reshape(1, -1),
+                                     TimeGrid(0.0, T, MIRROR_N))
+        first = next(e for e in full.errors if e is not None)
+        with pytest.raises(type(first)) as raised:
+            make_action_evaluator(osc, T, MIRROR_N)(XF, XI)
+        assert solved_pairs == []
         assert str(raised.value) == str(first)

@@ -16,6 +16,7 @@ from bmech.classical import (
     jacobi_and_greens,
     solve_classical,
     solve_classical_batch,
+    solve_quadratic_batch,
     straight_line_history,
 )
 from bmech.errors import BmechError, DomainError, NoConvergence, SingularHessian
@@ -457,6 +458,52 @@ class TestBatch:
         with pytest.raises(ValueError):
             solve_classical_batch(free_spec, np.zeros(3), np.zeros(3),
                                   TimeGrid(0.0, 1.0, 16))
+
+
+class TestQuadraticBatch:
+    """solve_quadratic_batch against the Newton batch of the same pairs."""
+
+    @pytest.mark.parametrize("system", ["free", "osc", "coupled"])
+    def test_matches_the_newton_batch(self, system, request, rng, monkeypatch):
+        spec = unit_mass_system("0.5*x1^2 + 0.8*x2^2 + 0.3*x1*x2", 2) \
+            if system == "coupled" else request.getfixturevalue(f"{system}_spec")
+        assert spec.is_quadratic
+        grid = TimeGrid(0.0, 1.2, 200)
+        monkeypatch.setattr(classical, "CHUNK_ELEMENTS", 2048)
+        B = 23  # three chunks at N = 200
+        XF = rng.uniform(-1.5, 1.5, (spec.dim, B))
+        XI = rng.uniform(-1.5, 1.5, (spec.dim, B))
+        quad = solve_quadratic_batch(spec, XF, XI, grid)
+        batch = solve_classical_batch(spec, XF, XI, grid)
+        assert quad.errors == [None] * B
+        # measured on five seeds: at most 3e-16 (action), 6.5e-13 (momenta)
+        # and 2.3e-13 (histories), mostly the Newton batch's own error
+        for name, bound in (("action", 2e-15), ("p_f", 2e-12), ("p_i", 2e-12),
+                            ("history", 1e-12)):
+            got, want = getattr(quad, name), getattr(batch, name)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+        np.testing.assert_array_equal(quad.history[0], XI)
+        np.testing.assert_array_equal(quad.history[-1], XF)
+
+    def test_boundary_momenta_are_the_gradients_ends(self, pendulum_spec, rng):
+        # on any stack of histories, stationary or not
+        grid = TimeGrid(0.0, 1.0, 30)
+        h = rng.uniform(-1.0, 1.0, (5, grid.N + 1, 1))
+        _, (p_f, p_i), _ = action_gradient_hessian(pendulum_spec, h, grid)
+        got = classical.boundary_momenta(pendulum_spec, h[:, [0, 1, -2, -1]], grid)
+        np.testing.assert_array_equal(got[0], p_f.T)
+        np.testing.assert_array_equal(got[1], p_i.T)
+
+    def test_caustic_raises_from_the_centre(self, osc_spec, rng):
+        XF, XI = rng.uniform(-2.0, 2.0, (2, 1, 13))
+        with pytest.raises(SingularHessian, match="conjugate point"):
+            solve_quadratic_batch(osc_spec, XF, XI, TimeGrid(0.0, np.pi, 200))
+
+    def test_empty_batch(self, osc_spec):
+        quad = solve_quadratic_batch(osc_spec, np.zeros((1, 0)), np.zeros((1, 0)),
+                                     TimeGrid(0.0, 1.0, 16))
+        assert quad.action.shape == (0,) and quad.p_f.shape == (1, 0)
 
 
 class TestActionDerivs:

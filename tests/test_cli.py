@@ -223,15 +223,23 @@ class TestSemiclassical:
         assert result["measure_variation"] < 0.01
         assert result["constraint_residuals"]["const"] < 0.05
         assert result["constraint_residuals"]["dilation"] > 0.1
-        # the oscillator is reversible: the upper triangle of the window
-        points = result["window"]["points"]
-        assert result["action_pairs_solved"] == points * (points + 1) // 2
+        # the oscillator is quadratic: the whole window from one solve
+        assert result["action_pairs_solved"] == 1
         stem = str(out)[: -len(".json")]
         for suffix in (".absK.csv", ".argK.csv", ".measure_abs.csv",
                        ".measure_arg.csv", ".residual_const.csv",
                        ".residual_dilation.csv"):
             assert (tmp_path / ("report" + suffix)).exists() or \
                 np.loadtxt(stem + suffix, delimiter=",") is not None
+        # the pendulum is reversible but not quadratic: the upper triangle
+        code, report, _ = run(tmp_path, "semiclassical", "--spec",
+                              bundled_spec_path("pendulum"), "--T", "0.5",
+                              "--grid", "64", "--slices", "64",
+                              "--classical-slices", "50", "--window=-1,1",
+                              name="pendulum.json")
+        assert code == 0
+        points = report["result"]["window"]["points"]
+        assert report["result"]["action_pairs_solved"] == points * (points + 1) // 2
 
 
 class TestUsageErrors:

@@ -421,3 +421,39 @@ class TestVelocityParity:
                                        ("0.5*v1^2 + x1*v1", False)):
             spec = sysdsl.parse(json.dumps({**doc, "lagrangian": lagrangian}))
             assert spec.is_reversible is reversible
+
+
+class TestQuadratic:
+    @pytest.mark.parametrize("text, quadratic", [
+        ("(v1 - x1)^2/2", True),
+        ("sqrt(2)*x1*v1", True),
+        ("0.5*m*v1^2 - 0.5*m*k^2*x1^2 + x1*v2/m", True),
+        ("t*x1^2", False),
+        ("x1^3*v1", False),
+        ("x1^4", False),
+        ("1/x1", False),
+        ("x1^k", False),
+        ("sin(x1)", False),
+    ])
+    def test_truth_table(self, text, quadratic):
+        doc = {"name": "s", "dim": 2, "parameters": {"m": 2.0, "k": 3.0},
+               "domain": [{"min": -1, "max": 1}] * 2, "lagrangian": text}
+        assert sysdsl.parse(json.dumps(doc)).is_quadratic is quadratic
+
+    def test_quadratic_verdicts_have_a_constant_hessian(self):
+        # a quadratic verdict must mean constant second derivatives; a
+        # negative verdict is always allowed
+        rng = np.random.default_rng(13)
+        quadratic = curved = 0
+        for _ in range(400):
+            e = sysdsl.parse_expr(corpus_expression(rng), dim=2, params={})
+            degree = sysdsl._polynomial_degree(e)
+            if degree is None or degree > 2:
+                continue
+            (_, _, h1), (_, _, h2) = (
+                sysdsl.eval_derivs(e, 2, *rng.uniform(-1.0, 1.0, (2, 2)))
+                for _ in range(2))
+            assert h1 == pytest.approx(h2, rel=1e-12, abs=1e-12)
+            quadratic += 1
+            curved += bool(np.any(h1))
+        assert quadratic >= 100 and curved >= 5
